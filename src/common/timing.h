@@ -28,7 +28,6 @@ class Stopwatch {
   Stopwatch() : start_(NowNanos()) {}
   std::uint64_t ElapsedNanos() const { return NowNanos() - start_; }
   double ElapsedSeconds() const { return NanosToSeconds(ElapsedNanos()); }
-  void Restart() { start_ = NowNanos(); }
 
  private:
   std::uint64_t start_;

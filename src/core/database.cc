@@ -238,6 +238,9 @@ void Database::Stop() {
         [&w0](std::uint64_t max_seen) { return w0.GenerateTid(max_seen); });
   }
   if (wal_ != nullptr) {
+    // The coordinator is joined, so no checkpoint can begin any more; let one still
+    // persisting finish, so a clean Stop leaves its MANIFEST swap done and no tmp file.
+    wal_->WaitForCheckpoint();
     // Workers are joined: every committed transaction has been appended, and the
     // system is fully quiesced — the strongest consistency point there is. Seal the
     // log generation with a final replication cut at the max committed TID (all

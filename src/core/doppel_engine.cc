@@ -152,6 +152,7 @@ void DoppelEngine::MaybeTransition(Worker& w) {
     if (stop_.load(std::memory_order_relaxed)) {
       return;
     }
+    HelpCheckpointCapture();
     if (++spins < 64) {
       CpuRelax();
     } else {
@@ -623,13 +624,27 @@ void DoppelEngine::BarrierAfterReconcile() {
   plan_.reset();
 }
 
-bool DoppelEngine::CheckpointDue() const {
+bool DoppelEngine::CheckpointDue() {
   if (wal_ == nullptr || wal_->failed()) {
     // Degraded (permanent WAL failure): a checkpoint could not update the manifest, so
     // stop asking for barriers on its behalf.
     return false;
   }
-  // A failed checkpoint backs off before the next attempt (see BarrierMaybeCheckpoint);
+  // One checkpoint at a time: while the previous image is still being written, a
+  // request (sticky flag) or an elapsed interval waits for a later barrier.
+  if (wal_->checkpoint_in_flight()) {
+    return false;
+  }
+  CheckpointStats persisted;
+  if (wal_->TakeCheckpointResult(&persisted)) {
+    if (persisted.ok()) {
+      checkpoint_consecutive_failures_ = 0;
+      checkpoint_backoff_until_ns_ = 0;
+    } else {
+      OnCheckpointFailed();
+    }
+  }
+  // A failed checkpoint backs off before the next attempt (see OnCheckpointFailed);
   // until then, don't request barriers that would just retry into the same full disk.
   // Coordinator thread only — the plain reads are safe.
   if (NowNanos() < checkpoint_backoff_until_ns_) {
@@ -648,31 +663,68 @@ bool DoppelEngine::CheckpointDue() const {
          NowNanos() - last_checkpoint_ns_ >= opts_.checkpoint_interval_us * 1000;
 }
 
+void DoppelEngine::OnCheckpointFailed() {
+  // The checkpoint rolled back (tmp removed, manifest untouched, old checkpoint
+  // live): retry at a later barrier with exponential backoff so a full disk isn't
+  // hammered every interval. Re-arm the sticky request so the retry happens even
+  // when the cadence alone wouldn't ask again.
+  checkpoint_consecutive_failures_ =
+      std::min<std::uint32_t>(checkpoint_consecutive_failures_ + 1, 6);
+  const std::uint64_t base_ns =
+      std::max<std::uint64_t>(opts_.checkpoint_interval_us * 1000, 100'000'000ull);
+  checkpoint_backoff_until_ns_ =
+      NowNanos() + (base_ns << (checkpoint_consecutive_failures_ - 1));
+  // Sticky re-arm read only by this coordinator thread at the next barrier.
+  checkpoint_requested_.store(true, std::memory_order_relaxed);
+}
+
 void DoppelEngine::BarrierMaybeCheckpoint() {
   if (!CheckpointDue()) {
     return;
   }
   // Flag consume at the barrier; no payload rides on it.
   checkpoint_requested_.store(false, std::memory_order_relaxed);
-  const CheckpointStats st = wal_->WriteCheckpoint(store_);
-  if (!st.ok()) {
-    // The checkpoint rolled back (tmp removed, manifest untouched, old checkpoint
-    // live): retry at a later barrier with exponential backoff so a full disk isn't
-    // hammered every interval. Re-arm the sticky request so the retry happens even
-    // when the cadence alone wouldn't ask again.
-    checkpoint_consecutive_failures_ =
-        std::min<std::uint32_t>(checkpoint_consecutive_failures_ + 1, 6);
-    const std::uint64_t base_ns =
-        std::max<std::uint64_t>(opts_.checkpoint_interval_us * 1000, 100'000'000ull);
-    checkpoint_backoff_until_ns_ =
-        NowNanos() + (base_ns << (checkpoint_consecutive_failures_ - 1));
-    // Sticky re-arm read only by this coordinator thread at the next barrier.
-    checkpoint_requested_.store(true, std::memory_order_relaxed);
+  CheckpointStats sealed;
+  if (!wal_->BeginCheckpoint(&sealed)) {
+    OnCheckpointFailed();
     return;
   }
-  checkpoint_consecutive_failures_ = 0;
-  checkpoint_backoff_until_ns_ = 0;
   last_checkpoint_ns_ = NowNanos();
+  // Parallel capture: publish the shard queue to the parked workers (they poll it in
+  // MaybeTransition's release wait) and work it from here too. The seq_cst publish
+  // also orders the workers' pre-ack record writes — which this thread acquired
+  // through their acks — before their shard reads.
+  CheckpointCapture capture(store_);
+  capture_.store(&capture);
+  capture.Work();
+  std::uint32_t spins = 0;
+  while (!capture.Done()) {
+    if (++spins < 1024) {
+      CpuRelax();
+    } else {
+      std::this_thread::yield();  // a helper was descheduled mid-shard
+    }
+  }
+  // Unpublish, then wait out helpers that may still hold the pointer. Both sides are
+  // seq_cst (store/load here, increment/load in HelpCheckpointCapture), so a helper
+  // either sees null or is counted here.
+  capture_.store(nullptr);
+  while (capture_helpers_.load() != 0) {
+    CpuRelax();
+  }
+  wal_->PersistCheckpointAsync(capture.TakeImage());
+}
+
+void DoppelEngine::HelpCheckpointCapture() {
+  // Cheap peek on every wait-loop spin; the seq_cst protocol below decides.
+  if (capture_.load(std::memory_order_relaxed) == nullptr) {
+    return;
+  }
+  capture_helpers_.fetch_add(1);
+  if (CheckpointCapture* capture = capture_.load()) {
+    capture->Work();
+  }
+  capture_helpers_.fetch_sub(1);
 }
 
 bool DoppelEngine::ReplicationCutDue() const {

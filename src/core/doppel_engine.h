@@ -85,14 +85,18 @@ class DoppelEngine : public OccEngine {
   // At any quiesce barrier (workers acked, not yet released): adaptive narrowing.
   // BarrierBuildPlan runs it too; this entry point serves tune-only barriers.
   void BarrierTuneIndexes() { TuneAdaptiveTables(); }
-  // Racy peek between barriers: is a checkpoint due (interval elapsed or explicitly
-  // requested)? Lets the coordinator run a checkpoint-only quiesce barrier when no
-  // split candidates exist.
-  bool CheckpointDue() const;
+  // Peek between barriers (coordinator thread): is a checkpoint due (interval elapsed
+  // or explicitly requested)? Lets the coordinator run a checkpoint-only quiesce
+  // barrier when no split candidates exist. Never while the previous checkpoint is
+  // still persisting — a request then stays pending for a later barrier. Collects the
+  // previous persist's outcome, arming the retry backoff if it failed.
+  bool CheckpointDue();
   // At a joined-phase quiesce barrier (slices merged, workers acked, not yet
-  // released): take the checkpoint if one is due. The barrier is the free consistency
-  // point phase reconciliation gives us — the store holds exactly the committed
-  // prefix, and every commit's redo entry is already in the WAL buffers.
+  // released): if a checkpoint is due, seal the log and capture the store — sharded
+  // across the coordinator and the parked workers — then hand the image to the WAL's
+  // flusher to persist after the barrier is released. The barrier is the free
+  // consistency point phase reconciliation gives us — the store holds exactly the
+  // committed prefix, and every commit's redo entry is already in the WAL buffers.
   void BarrierMaybeCheckpoint();
   // Racy peek between barriers: should joined-phase barriers emit replication cuts?
   // True while logging and either Options::replication_cuts forces it or a replica
@@ -138,6 +142,10 @@ class DoppelEngine : public OccEngine {
   void MergeWorkerSlices(Worker& w);  // reconciliation, Fig. 4
   void DrainStash(Worker& w);         // restart stashed txns before acking a split phase
   void PrepareSlices(Worker& w);      // size + reset slices from the published plan
+  // Parked at a barrier: encode shards of a checkpoint capture, if one is published.
+  void HelpCheckpointCapture();
+  // A checkpoint failed (seal or persist): back off, and re-arm the request.
+  void OnCheckpointFailed();
 
   // ---- Adaptive index partitioning (coordinator thread, barriers only) ----
   // Telemetry deltas for one table since its last tuning evaluation.
@@ -165,6 +173,11 @@ class DoppelEngine : public OccEngine {
   // consecutive failure up to 2^5 x the base interval.
   std::uint64_t checkpoint_backoff_until_ns_ = 0;
   std::uint32_t checkpoint_consecutive_failures_ = 0;
+  // The capture in progress at the current barrier (null otherwise), and how many
+  // parked workers are inside HelpCheckpointCapture: the coordinator unpublishes the
+  // capture and waits for the count to drain before the capture goes out of scope.
+  std::atomic<CheckpointCapture*> capture_{nullptr};
+  std::atomic<int> capture_helpers_{0};
   const std::atomic<bool>& stop_;
   PhaseController ctrl_;
   std::vector<Worker*> workers_;

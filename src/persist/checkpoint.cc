@@ -2,8 +2,9 @@
 
 #include <fcntl.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <cstring>
 #include <vector>
 
 #include "src/common/dassert.h"
@@ -59,65 +60,150 @@ bool DecodeTuple(ByteCursor& c, OrderedTuple* t) {
          c.ReadString(&t->payload);
 }
 
+// Fixed part of a record's encoding: key.hi, key.lo, tid, type, topk_k.
+constexpr std::size_t kRecordHeadBytes =
+    3 * sizeof(std::uint64_t) + sizeof(std::uint8_t) + sizeof(std::uint32_t);
+
+// Appends a record's fixed part in one append instead of five.
+void PutRecordHead(std::vector<char>& out, const Record& r, std::uint64_t tid) {
+  char head[kRecordHeadBytes];
+  char* p = head;
+  const auto put = [&p](const auto& v) {
+    std::memcpy(p, &v, sizeof(v));
+    p += sizeof(v);
+  };
+  put(r.key().hi);
+  put(r.key().lo);
+  put(tid);
+  put(static_cast<std::uint8_t>(r.type()));
+  put(static_cast<std::uint32_t>(r.topk_k()));
+  PutSpan(out, head, sizeof(head));
+}
+
 }  // namespace
+
+std::uint64_t CheckpointImage::file_bytes() const {
+  // magic + version + max_tid, layout, n_records, shards, crc.
+  std::uint64_t n = 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t) + layout.size() +
+                    sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  for (const std::vector<char>& s : shards) {
+    n += s.size();
+  }
+  return n;
+}
+
+CheckpointCapture::CheckpointCapture(const Store& store)
+    : store_(store),
+      buckets_per_shard_((store.map().bucket_count() + kShards - 1) / kShards),
+      shards_(std::min(kShards, store.map().bucket_count())) {
+  // Reserve each shard's buffer up front, sized for its share of int records plus a
+  // quarter of slack. Growing by doubling instead makes every thread mmap, copy and
+  // munmap megabyte buffers, and the munmaps' TLB shootdowns stall all the others —
+  // parallel capture then runs no faster than serial. Unused reservation is never
+  // touched, so it costs address space, not resident memory.
+  constexpr std::size_t kIntRecordBytes = kRecordHeadBytes + sizeof(std::int64_t);
+  reserve_bytes_ = (store.size() / shards_.size() + 16) * kIntRecordBytes * 5 / 4;
+  std::uint32_t n_tables = 0;
+  PutRaw(layout_, n_tables);  // patched below
+  store.index().ForEachTable([&](const OrderedIndex::TableIndex& t) {
+    PutRaw(layout_, t.table);
+    PutRaw(layout_, t.shift.load(std::memory_order_acquire));
+    PutRaw(layout_, static_cast<std::uint32_t>(t.partitions.size()));
+    PutRaw(layout_, static_cast<std::uint8_t>(t.adaptive ? 1 : 0));
+    ++n_tables;
+  });
+  std::memcpy(layout_.data(), &n_tables, sizeof(n_tables));
+  tables_ = n_tables;
+}
+
+void CheckpointCapture::Work() {
+  // Claim ticket only: the shard's bytes are published by the done_ release below.
+  for (std::size_t i = next_.fetch_add(1, std::memory_order_relaxed); i < shards_.size();
+       i = next_.fetch_add(1, std::memory_order_relaxed)) {
+    // Encode into locals and store the shard once at the end: neighbouring Shard
+    // entries share cache lines, and other threads are filling them concurrently.
+    Shard shard;
+    shard.bytes.reserve(reserve_bytes_);
+    store_.map().ForEachInRange(
+        i * buckets_per_shard_, (i + 1) * buckets_per_shard_, [&](const Record& r) {
+          // Writers are quiesced (the capture's precondition), so the seqlock reads are
+          // stable and present records cannot regress; never-written placeholder
+          // records are skipped.
+          std::uint64_t tid = 0;
+          if (r.type() == RecordType::kInt64) {
+            // Int records skip the Value variant ReadValue would build.
+            const Record::IntSnapshot s = r.ReadInt();
+            if (!s.present) {
+              return;
+            }
+            tid = s.tid;
+            PutRecordHead(shard.bytes, r, tid);
+            PutRaw(shard.bytes, s.value);
+          } else {
+            const Record::ValueSnapshot s = r.ReadValue();
+            if (!s.present) {
+              return;
+            }
+            tid = s.tid;
+            PutRecordHead(shard.bytes, r, tid);
+            EncodeValue(shard.bytes, s.value);
+          }
+          shard.max_tid = std::max(shard.max_tid, tid);
+          ++shard.records;
+        });
+    shards_[i] = std::move(shard);
+    done_.fetch_add(1, std::memory_order_acq_rel);
+  }
+}
+
+CheckpointImage CheckpointCapture::TakeImage() {
+  DOPPEL_CHECK(Done());
+  CheckpointImage image;
+  image.tables = tables_;
+  image.layout = std::move(layout_);
+  image.shards.reserve(shards_.size());
+  for (Shard& s : shards_) {
+    image.max_tid = std::max(image.max_tid, s.max_tid);
+    image.records += s.records;
+    image.shards.push_back(std::move(s.bytes));
+  }
+  return image;
+}
+
+CheckpointImage Checkpoint::Capture(const Store& store) {
+  CheckpointCapture capture(store);
+  capture.Work();
+  return capture.TakeImage();
+}
 
 CheckpointStats Checkpoint::Write(const std::string& dir, const std::string& file_name,
                                   const Store& store, IoEnv* env,
                                   std::atomic<std::uint64_t>* retries) {
+  return Persist(dir, file_name, Capture(store), env, retries);
+}
+
+CheckpointStats Checkpoint::Persist(const std::string& dir, const std::string& file_name,
+                                    const CheckpointImage& image, IoEnv* env,
+                                    std::atomic<std::uint64_t>* retries,
+                                    FunctionRef<void()> between_writes) {
   if (env == nullptr) {
     env = IoEnv::Default();
   }
   const IoRetryPolicy policy;
   CheckpointStats stats;
-  std::vector<char> body;
+  stats.records = image.records;
+  stats.tables = image.tables;
+  stats.max_tid = image.max_tid;
 
-  std::uint32_t n_tables = 0;
-  const std::size_t tables_pos = body.size();
-  PutRaw(body, n_tables);  // patched below
-  store.index().ForEachTable([&](const OrderedIndex::TableIndex& t) {
-    PutRaw(body, t.table);
-    PutRaw(body, t.shift.load(std::memory_order_acquire));
-    PutRaw(body, static_cast<std::uint32_t>(t.partitions.size()));
-    PutRaw(body, static_cast<std::uint8_t>(t.adaptive ? 1 : 0));
-    ++n_tables;
-  });
-  std::memcpy(body.data() + tables_pos, &n_tables, sizeof(n_tables));
-
-  std::uint64_t n_records = 0;
-  const std::size_t records_pos = body.size();
-  PutRaw(body, n_records);  // patched below
-  store.map().ForEach([&](const Record& r) {
-    // Workers are quiesced (caller's precondition), so the seqlock read is stable and
-    // present records cannot regress; never-written placeholder records are skipped.
-    const Record::ValueSnapshot s = r.ReadValue();
-    if (!s.present) {
-      return;
-    }
-    PutRaw(body, r.key().hi);
-    PutRaw(body, r.key().lo);
-    PutRaw(body, s.tid);
-    PutRaw(body, static_cast<std::uint8_t>(r.type()));
-    PutRaw(body, static_cast<std::uint32_t>(r.topk_k()));
-    EncodeValue(body, s.value);
-    stats.max_tid = std::max(stats.max_tid, s.tid);
-    ++n_records;
-  });
-  std::memcpy(body.data() + records_pos, &n_records, sizeof(n_records));
-  stats.records = n_records;
-  stats.tables = n_tables;
+  std::vector<char> head;
+  PutRaw(head, kMagic);
+  PutRaw(head, kVersion);
+  PutRaw(head, image.max_tid);
+  PutSpan(head, image.layout.data(), image.layout.size());
+  PutRaw(head, image.records);
 
   const std::string tmp = dir + "/" + file_name + ".tmp";
   const std::string final_path = dir + "/" + file_name;
-  std::vector<char> header;
-  PutRaw(header, kMagic);
-  PutRaw(header, kVersion);
-  PutRaw(header, stats.max_tid);
-  const std::uint32_t crc =
-      Crc32(body.data(), body.size(),
-            Crc32(header.data() + 8, header.size() - 8));  // max_tid onward
-  std::vector<char> trailer;
-  PutRaw(trailer, crc);
-
   // All failures below roll the attempt back: remove the tmp file and leave the final
   // path (and thus the MANIFEST's view of the world) untouched.
   const auto fail = [&](int fd, int negative_errno, IoOp op) {
@@ -133,15 +219,29 @@ CheckpointStats Checkpoint::Write(const std::string& dir, const std::string& fil
   if (fd < 0) {
     return fail(-1, fd, IoOp::kOpen);
   }
-  for (const std::vector<char>* part : {&header, &body, &trailer}) {
-    const int rc = WriteFullyRetry(env, fd, part->data(), part->size(), policy, retries);
+  // The CRC covers everything after the 8-byte magic/version header; it is folded in
+  // part by part on the way out, so the image is read once.
+  std::uint32_t crc = Crc32(head.data() + 8, head.size() - 8);
+  int rc = WriteFullyRetry(env, fd, head.data(), head.size(), policy, retries);
+  if (rc != 0) {
+    return fail(fd, rc, IoOp::kWrite);
+  }
+  for (const std::vector<char>& shard : image.shards) {
+    crc = Crc32(shard.data(), shard.size(), crc);
+    rc = WriteFullyRetry(env, fd, shard.data(), shard.size(), policy, retries);
     if (rc != 0) {
       return fail(fd, rc, IoOp::kWrite);
     }
+    between_writes();
+  }
+  rc = WriteFullyRetry(env, fd, reinterpret_cast<const char*>(&crc), sizeof(crc), policy,
+                       retries);
+  if (rc != 0) {
+    return fail(fd, rc, IoOp::kWrite);
   }
   // A failed fsync is permanent by policy (io_env.h): the tmp file's page-cache state
   // is unknowable, so it must never be renamed into place.
-  int rc = env->Fsync(fd);
+  rc = env->Fsync(fd);
   env->Close(fd);
   if (rc != 0) {
     return fail(-1, rc, IoOp::kFsync);
@@ -244,22 +344,19 @@ CheckpointStats LoadParsed(const std::string& data, Store* store) {
 
 }  // namespace
 
-CheckpointStats Checkpoint::Load(const std::string& path, Store* store) {
-  std::ifstream in(path, std::ios::binary);
-  DOPPEL_CHECK(in.good());
-  const std::string data((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  return LoadParsed(data, store);
+CheckpointStats Checkpoint::Load(const std::string& path, Store* store, IoEnv* env) {
+  CheckpointStats stats;
+  DOPPEL_CHECK(TryLoad(path, store, &stats, env));
+  return stats;
 }
 
-bool Checkpoint::TryLoad(const std::string& path, Store* store,
-                         CheckpointStats* stats) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
+bool Checkpoint::TryLoad(const std::string& path, Store* store, CheckpointStats* stats,
+                         IoEnv* env) {
+  std::string data;
+  if (ReadFileRetry(env != nullptr ? env : IoEnv::Default(), path, &data,
+                    IoRetryPolicy{}, nullptr)) {
     return false;
   }
-  const std::string data((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
   *stats = LoadParsed(data, store);
   return true;
 }

@@ -31,6 +31,8 @@ const char* IoOpName(IoOp op) {
       return "unlink";
     case IoOp::kMkdir:
       return "mkdir";
+    case IoOp::kStat:
+      return "stat";
   }
   return "?";
 }
@@ -66,6 +68,11 @@ int IoEnv::Unlink(const char* path) { return ::unlink(path) == 0 ? 0 : -errno; }
 
 int IoEnv::Mkdir(const char* path, int mode) {
   return ::mkdir(path, static_cast<mode_t>(mode)) == 0 ? 0 : -errno;
+}
+
+long IoEnv::FileSize(int fd) {
+  struct stat st;
+  return ::fstat(fd, &st) == 0 ? static_cast<long>(st.st_size) : -errno;
 }
 
 IoEnv* IoEnv::Default() {
@@ -152,6 +159,49 @@ int RenameRetry(IoEnv* env, const char* from, const char* to,
 int TruncateRetry(IoEnv* env, const char* path, std::uint64_t len,
                   const IoRetryPolicy& policy, std::atomic<std::uint64_t>* retries) {
   return RetryTransient([&] { return env->Truncate(path, len); }, policy, retries);
+}
+
+IoFailure ReadFileRetry(IoEnv* env, const std::string& path, std::string* out,
+                        const IoRetryPolicy& policy, std::atomic<std::uint64_t>* retries) {
+  out->clear();
+  const int fd = OpenRetry(env, path.c_str(), O_RDONLY, 0, policy, retries);
+  if (fd < 0) {
+    return IoFailure{-fd, IoOp::kOpen};
+  }
+  const auto fail = [&](long rc, IoOp op) {
+    env->Close(fd);
+    out->clear();
+    return IoFailure{static_cast<int>(-rc), op};
+  };
+  const long size = env->FileSize(fd);
+  if (size < 0) {
+    return fail(size, IoOp::kStat);
+  }
+  out->resize(static_cast<std::size_t>(size));
+  std::size_t done = 0;
+  int attempts_without_progress = 0;
+  while (done < out->size()) {
+    const long r = env->Pread(fd, out->data() + done, out->size() - done, done);
+    if (r > 0) {
+      done += static_cast<std::size_t>(r);
+      attempts_without_progress = 0;
+      continue;
+    }
+    // EOF before the size fstat reported means the file shrank under us: not
+    // something a retry can fix.
+    const long rc = r == 0 ? -EIO : r;
+    if (!IsTransientIoError(static_cast<int>(rc)) ||
+        ++attempts_without_progress >= policy.max_attempts) {
+      return fail(rc, IoOp::kPread);
+    }
+    if (retries != nullptr) {
+      // Stats counter: racy reads are the contract.
+      retries->fetch_add(1, std::memory_order_relaxed);
+    }
+    BackoffSleep(attempts_without_progress - 1, policy);
+  }
+  env->Close(fd);
+  return IoFailure{};
 }
 
 // ---- FaultInjectingIoEnv ----
@@ -279,6 +329,14 @@ int FaultInjectingIoEnv::Unlink(const char* path) {
     return -fault;
   }
   return base_->Unlink(path);
+}
+
+long FaultInjectingIoEnv::FileSize(int fd) {
+  const int fault = MaybeFail(IoOp::kStat, PathForFd(fd));
+  if (fault > 0) {
+    return -fault;
+  }
+  return base_->FileSize(fd);
 }
 
 int FaultInjectingIoEnv::Mkdir(const char* path, int mode) {

@@ -10,6 +10,7 @@
 // Conventions:
 //  - Open returns a file descriptor (>= 0) or -errno.
 //  - Write/Pread return bytes transferred (>= 0) or -errno; short transfers are legal.
+//  - FileSize returns the size of an open file (>= 0) or -errno.
 //  - Everything else returns 0 or -errno.
 //
 // The default env is a stateless passthrough; its virtual dispatch sits in front of a
@@ -45,8 +46,9 @@ enum class IoOp : std::uint8_t {
   kTruncate,
   kUnlink,
   kMkdir,
+  kStat,
 };
-constexpr int kNumIoOps = 9;
+constexpr int kNumIoOps = 10;
 
 const char* IoOpName(IoOp op);
 
@@ -73,6 +75,7 @@ class IoEnv {
   virtual int Truncate(const char* path, std::uint64_t len);
   virtual int Unlink(const char* path);
   virtual int Mkdir(const char* path, int mode);
+  virtual long FileSize(int fd);
 
   // Process-wide passthrough instance (never destroyed; it is stateless).
   static IoEnv* Default();
@@ -113,6 +116,12 @@ int RenameRetry(IoEnv* env, const char* from, const char* to,
                 const IoRetryPolicy& policy, std::atomic<std::uint64_t>* retries);
 int TruncateRetry(IoEnv* env, const char* path, std::uint64_t len,
                   const IoRetryPolicy& policy, std::atomic<std::uint64_t>* retries);
+
+// Reads the whole file at `path` into *out, sized once from FileSize (no incremental
+// growth), absorbing transient open/read errors and short reads like WriteFullyRetry.
+// On failure *out is left empty and the first permanent error is returned.
+IoFailure ReadFileRetry(IoEnv* env, const std::string& path, std::string* out,
+                        const IoRetryPolicy& policy, std::atomic<std::uint64_t>* retries);
 
 // ---- Fault injection (tests only) ----
 
@@ -156,6 +165,7 @@ class FaultInjectingIoEnv : public IoEnv {
   int Truncate(const char* path, std::uint64_t len) override;
   int Unlink(const char* path) override;
   int Mkdir(const char* path, int mode) override;
+  long FileSize(int fd) override;
 
  private:
   struct ArmedRule {

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "src/common/dassert.h"
 #include "src/common/timing.h"
@@ -123,7 +124,7 @@ RecoveryResult WriteAheadLog::Recover(Store* store, int replay_threads) {
   RecoveryResult result;
   if (!manifest_.checkpoint.empty()) {
     const CheckpointStats ck =
-        Checkpoint::Load(dir_ + "/" + manifest_.checkpoint, store);
+        Checkpoint::Load(dir_ + "/" + manifest_.checkpoint, store, env_);
     result.had_checkpoint = true;
     result.checkpoint_records = ck.records;
     result.checkpoint_tables = ck.tables;
@@ -600,60 +601,81 @@ void WriteAheadLog::PruneRetainedLocked() {
   }
 }
 
-CheckpointStats WriteAheadLog::WriteCheckpoint(const Store& store) {
+bool WriteAheadLog::BeginCheckpoint(CheckpointStats* stats) {
   DOPPEL_CHECK(logging_);
+  DOPPEL_CHECK(!checkpoint_in_flight());
+  const std::uint64_t t0 = NowNanos();
   file_mu_.lock();
-  // Degraded log: there is no durable consistency point to seal a checkpoint against.
-  if (fd_ < 0) {
-    CheckpointStats stats;
-    stats.failure = IoFailure{failed_errno(), failed_op()};
-    // Stats counter: racy reads are the contract.
-    checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
-    file_mu_.unlock();
-    return stats;
-  }
   // Everything committed is in the buffers (workers are quiesced past their last
   // commit); flush it, then seal so the sealed set is exactly the checkpoint's past.
-  FlushLocked();
+  // Degraded log (fd_ < 0): there is no durable consistency point to seal against.
+  if (fd_ >= 0) {
+    FlushLocked();
+  }
   if (fd_ >= 0) {
     RotateLocked();
   }
   if (fd_ < 0) {
-    // The flush or seal latched a permanent WAL failure mid-checkpoint.
-    CheckpointStats stats;
-    stats.failure = IoFailure{failed_errno(), failed_op()};
+    *stats = CheckpointStats{};
+    stats->failure = IoFailure{failed_errno(), failed_op()};
     // Stats counter: racy reads are the contract.
     checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
     file_mu_.unlock();
-    return stats;
+    return false;
   }
-  std::vector<std::uint64_t> sealed = manifest_.live_segments;
-  sealed.pop_back();  // the freshly-opened active segment stays live
+  ckpt_sealed_.assign(manifest_.live_segments.begin(), manifest_.live_segments.end() - 1);
+  ckpt_segment_ = active_segment_;  // the freshly-opened active segment stays live
+  ckpt_begin_ns_ = t0;
+  ckpt_in_flight_.store(true, std::memory_order_release);
+  file_mu_.unlock();
+  return true;
+}
 
-  const std::string ckpt_name = Manifest::CheckpointFileName(active_segment_);
-  const CheckpointStats stats =
-      Checkpoint::Write(dir_, ckpt_name, store, env_, &io_retries_);
+CheckpointStats WriteAheadLog::PersistInFlight(const CheckpointImage& image,
+                                               FunctionRef<void()> between_writes) {
+  const std::uint64_t t0 = NowNanos();
+  file_mu_.lock();
+  const std::string name = Manifest::CheckpointFileName(ckpt_segment_);
+  file_mu_.unlock();
+  const CheckpointStats persisted =
+      Checkpoint::Persist(dir_, name, image, env_, &io_retries_, between_writes);
+  file_mu_.lock();
+  const CheckpointStats stats = FinishCheckpointLocked(persisted, name);
+  file_mu_.unlock();
+  // Stats counter: racy reads are the contract.
+  ckpt_persist_ns_.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
+  return stats;
+}
+
+CheckpointStats WriteAheadLog::FinishCheckpointLocked(CheckpointStats stats,
+                                                      const std::string& name) {
+  if (stats.ok() && failed()) {
+    // The log latched a permanent failure while the image was being written: it
+    // cannot make durable transitions any more, so the MANIFEST keeps naming the old
+    // checkpoint and segments, and the new file is just unreferenced garbage.
+    env_->Unlink((dir_ + "/" + name).c_str());
+    stats.failure = IoFailure{failed_errno(), failed_op()};
+  }
   if (!stats.ok()) {
     // Checkpoint failure is NOT a WAL failure: the tmp file was removed, the MANIFEST
     // never saw the new name, and the old checkpoint stays live, so logging continues
-    // unharmed. The rotation above is benign — the extra sealed segment stays in
-    // live_segments and replays fine. The coordinator retries at a later barrier.
+    // unharmed. The seal is benign — the sealed segments stay in live_segments and
+    // replay fine. The coordinator retries at a later barrier.
     // Stats counter: racy reads are the contract.
     checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
-    file_mu_.unlock();
     return stats;
   }
 
-  // Sealed segments a retention lease still needs move to the retained set (kept on
-  // disk for replica shipping, never replayed — the checkpoint subsumes them); the
-  // rest are deleted below. Retained numbers stay ascending: sealed segments are
-  // always newer than anything already retained.
+  // Segments sealed at capture that a retention lease still needs move to the retained
+  // set (kept on disk for replica shipping, never replayed — the checkpoint subsumes
+  // them); the rest are deleted below. Retained numbers stay ascending: sealed
+  // segments are always newer than anything already retained.
   std::uint64_t min_needed = ~std::uint64_t{0};
   for (const Lease& l : leases_) {
     min_needed = std::min(min_needed, l.next_needed_segment);
   }
   std::vector<std::uint64_t> doomed;
-  for (std::uint64_t seg : sealed) {
+  for (std::uint64_t seg : ckpt_sealed_) {
     if (!leases_.empty() && seg >= min_needed) {
       manifest_.retained_segments.push_back(seg);
     } else {
@@ -662,19 +684,25 @@ CheckpointStats WriteAheadLog::WriteCheckpoint(const Store& store) {
   }
 
   const std::string old_ckpt = manifest_.checkpoint;
-  manifest_.checkpoint = ckpt_name;
-  manifest_.live_segments = {active_segment_};
+  manifest_.checkpoint = name;
+  // Everything from the seal onward stays live: rotation may have opened more
+  // segments while the image was being written.
+  std::vector<std::uint64_t> live;
+  for (std::uint64_t seg : manifest_.live_segments) {
+    if (seg >= ckpt_segment_) {
+      live.push_back(seg);
+    }
+  }
+  manifest_.live_segments = std::move(live);
   if (const IoFailure f = Manifest::Save(dir_, manifest_, env_, &io_retries_)) {
     // The new checkpoint file exists but no manifest names it; the on-disk manifest
     // still references every old segment, so nothing may be unlinked. Escalate: a log
     // whose manifest cannot be replaced cannot make further durable transitions.
     FailLocked(f.err, f.op);
-    CheckpointStats failed_stats = stats;
-    failed_stats.failure = f;
+    stats.failure = f;
     // Stats counter: racy reads are the contract.
     checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
-    file_mu_.unlock();
-    return failed_stats;
+    return stats;
   }
 
   // Only now are the dropped segments (and the previous checkpoint) unreferenced by
@@ -687,15 +715,89 @@ CheckpointStats WriteAheadLog::WriteCheckpoint(const Store& store) {
   }
   // Monotonic stats counter; readers are racy by contract.
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
-  file_mu_.unlock();
+  return stats;
+}
+
+void WriteAheadLog::NoteCaptured(const CheckpointImage& image) {
+  DOPPEL_CHECK(checkpoint_in_flight());
+  // Stats counters: racy reads are the contract.
+  ckpt_capture_ns_.fetch_add(NowNanos() - ckpt_begin_ns_, std::memory_order_relaxed);
+  ckpt_image_bytes_.store(image.file_bytes(), std::memory_order_relaxed);
+}
+
+void WriteAheadLog::PersistCheckpointAsync(CheckpointImage image) {
+  NoteCaptured(image);
+  auto job = std::make_unique<CheckpointImage>(std::move(image));
+  ckpt_mu_.lock();
+  ckpt_job_ = std::move(job);
+  ckpt_mu_.unlock();
+}
+
+void WriteAheadLog::RunPendingCheckpoint() {
+  ckpt_mu_.lock();
+  std::unique_ptr<CheckpointImage> job = std::move(ckpt_job_);
+  ckpt_mu_.unlock();
+  if (job == nullptr) {
+    return;
+  }
+  // Keep group commit going while the image is written: between its writes, flush the
+  // log buffers on the usual cadence (try_lock, as in FlusherMain).
+  std::uint64_t last_flush = NowNanos();
+  const CheckpointStats stats = PersistInFlight(*job, [&] {
+    const std::uint64_t now = NowNanos();
+    if (now - last_flush < opts_.flush_interval_us * 1000) {
+      return;
+    }
+    last_flush = now;
+    if (file_mu_.try_lock()) {
+      if (fd_ >= 0) {
+        FlushLocked();
+      }
+      file_mu_.unlock();
+    }
+  });
+  job.reset();  // the image is never kept for the next checkpoint
+  ckpt_mu_.lock();
+  ckpt_result_ = stats;
+  ckpt_mu_.unlock();
+  ckpt_in_flight_.store(false, std::memory_order_release);
+}
+
+bool WriteAheadLog::TakeCheckpointResult(CheckpointStats* out) {
+  ckpt_mu_.lock();
+  const std::optional<CheckpointStats> result = std::exchange(ckpt_result_, std::nullopt);
+  ckpt_mu_.unlock();
+  if (result) {
+    *out = *result;
+  }
+  return result.has_value();
+}
+
+void WriteAheadLog::WaitForCheckpoint() const {
+  while (checkpoint_in_flight()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
+CheckpointStats WriteAheadLog::WriteCheckpoint(const Store& store) {
+  WaitForCheckpoint();
+  CheckpointStats stats;
+  if (!BeginCheckpoint(&stats)) {
+    return stats;
+  }
+  const CheckpointImage image = Checkpoint::Capture(store);
+  NoteCaptured(image);
+  stats = PersistInFlight(image, [] {});
+  ckpt_in_flight_.store(false, std::memory_order_release);
   return stats;
 }
 
 void WriteAheadLog::FlusherMain() {
   while (!stop_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::microseconds(opts_.flush_interval_us));
-    // try_lock, not lock: a checkpoint holds file_mu_ for a full store serialization
-    // plus fsyncs, and a background cadence tick must skip that window instead of
+    RunPendingCheckpoint();
+    // try_lock, not lock: the coordinator holds file_mu_ for a checkpoint's flush +
+    // seal or a cut, and a background cadence tick must skip that window instead of
     // burning a core spinning on it. The buffers just carry over to the next tick.
     if (file_mu_.try_lock()) {
       if (fd_ >= 0) {
@@ -704,6 +806,9 @@ void WriteAheadLog::FlusherMain() {
       file_mu_.unlock();
     }
   }
+  // An image handed over just before shutdown still gets persisted: its capture
+  // already paid for the consistency point.
+  RunPendingCheckpoint();
 }
 
 }  // namespace doppel

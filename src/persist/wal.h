@@ -17,11 +17,16 @@
 // writer's GenerateTid absorbs the earlier TID), and commutative split-phase operations
 // are order-insensitive by definition (§4).
 //
-// Checkpoints: the coordinator calls WriteCheckpoint at joined-phase quiesce barriers
-// (slices merged, workers parked), which seals the active segment, snapshots the store
-// and ordered-index layouts, repoints the MANIFEST, and deletes the sealed segments the
-// checkpoint subsumes — bounding recovery cost by the log volume since the last
-// barrier-aligned snapshot rather than by database lifetime.
+// Checkpoints take two steps so the quiesce barrier never waits for the disk. At a
+// joined-phase barrier (slices merged, workers parked) the coordinator calls
+// BeginCheckpoint, which flushes and seals the active segment, then captures the store
+// into an in-memory CheckpointImage — the parked workers help encode it — and hands
+// the image to PersistCheckpointAsync before releasing the barrier. The flusher thread
+// then writes, fsyncs and renames the checkpoint file while transactions run again,
+// and finally repoints the MANIFEST and deletes the sealed segments the checkpoint
+// subsumes — bounding recovery cost by the log volume since the last barrier-aligned
+// snapshot rather than by database lifetime. Until that swap the old checkpoint and
+// every live segment stay the recoverable state, so a crash mid-persist loses nothing.
 //
 // Recovery (Database::Start): load the checkpoint (if any), replay the live segments in
 // commit-TID order — partitioned by key stripe across threads, since per-record redo
@@ -34,11 +39,14 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/annotations.h"
+#include "src/common/function_ref.h"
 #include "src/common/spinlock.h"
 #include "src/persist/checkpoint.h"
 #include "src/persist/io_env.h"
@@ -148,11 +156,35 @@ class WriteAheadLog {
   void ReleaseRetentionLease(int lease_id) EXCLUDES(file_mu_);
   int retention_leases() const { return lease_count_.load(std::memory_order_acquire); }
 
-  // Takes a consistent checkpoint of `store`: flush + seal the active segment, snapshot
-  // store + index layouts to a new checkpoint file, repoint the MANIFEST, delete the
-  // sealed segments and the previous checkpoint. PRECONDITION: no worker may be
-  // mutating records or appending — the Doppel coordinator calls this at quiesce
-  // barriers; tests call it with workers stopped.
+  // ---- Checkpoints ----
+  //
+  // Step 1, BeginCheckpoint: flush + seal the active segment, so the sealed set is
+  // exactly the past of the store state captured next. PRECONDITION: no worker may be
+  // mutating records or appending (quiesce barrier), and no checkpoint in flight.
+  // Returns false — with stats->failure set and the failure counted — when the log is
+  // degraded or the seal latched a failure; nothing is then in flight.
+  bool BeginCheckpoint(CheckpointStats* stats) EXCLUDES(file_mu_);
+  // Step 2: hand the image captured after BeginCheckpoint (a CheckpointCapture, which
+  // the barrier shards over its parked workers) to the flusher thread and return at
+  // once. The flusher writes it — group-committing the log between its writes — then
+  // swaps the MANIFEST to it and deletes the sealed segments and the previous
+  // checkpoint. A failed persist rolls back (tmp removed, MANIFEST untouched, sealed
+  // segments stay live); a permanent WAL failure latched meanwhile also leaves the
+  // MANIFEST untouched. The outcome is collected with TakeCheckpointResult.
+  void PersistCheckpointAsync(CheckpointImage image) EXCLUDES(ckpt_mu_);
+  // True from a successful BeginCheckpoint until its persist has finished.
+  bool checkpoint_in_flight() const {
+    return ckpt_in_flight_.load(std::memory_order_acquire);
+  }
+  // Collects the outcome of the last finished PersistCheckpointAsync, once; false when
+  // there is none to collect.
+  bool TakeCheckpointResult(CheckpointStats* out) EXCLUDES(ckpt_mu_);
+  // Blocks until no checkpoint is in flight (Database::Stop, before the final cut).
+  void WaitForCheckpoint() const;
+
+  // Both steps on the calling thread (single-threaded capture, synchronous persist),
+  // after waiting out any checkpoint in flight. PRECONDITION: no worker may be mutating
+  // records or appending — tests and tools call it with workers stopped.
   CheckpointStats WriteCheckpoint(const Store& store) EXCLUDES(file_mu_);
 
   // ---- Durability-failure latch ----
@@ -201,6 +233,19 @@ class WriteAheadLog {
     return checkpoints_.load(std::memory_order_relaxed);
   }
   std::uint64_t cuts_emitted() const { return cuts_.load(std::memory_order_relaxed); }
+  // Checkpoint cost split by where it is paid: capture is the barrier part (flush,
+  // seal and store encode, while workers are parked), persist the background part
+  // (CRC, write, fsync, rename, MANIFEST swap). Totals over every checkpoint begun.
+  std::uint64_t checkpoint_capture_ns() const {
+    return ckpt_capture_ns_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t checkpoint_persist_ns() const {
+    return ckpt_persist_ns_.load(std::memory_order_relaxed);
+  }
+  // File size of the most recently captured checkpoint image.
+  std::uint64_t checkpoint_image_bytes() const {
+    return ckpt_image_bytes_.load(std::memory_order_relaxed);
+  }
 
   const std::string& dir() const { return dir_; }
 
@@ -221,7 +266,18 @@ class WriteAheadLog {
     std::uint64_t next_needed_segment;
   };
 
-  void FlusherMain() EXCLUDES(file_mu_);
+  void FlusherMain() EXCLUDES(file_mu_, ckpt_mu_);
+  // Flusher side of PersistCheckpointAsync: persists a handed-over image, if any.
+  void RunPendingCheckpoint() EXCLUDES(file_mu_, ckpt_mu_);
+  // Counts the capture time and image size of the in-flight checkpoint.
+  void NoteCaptured(const CheckpointImage& image);
+  // Writes the in-flight checkpoint's image and swaps the MANIFEST. `between_writes`
+  // runs between the image's file writes.
+  CheckpointStats PersistInFlight(const CheckpointImage& image,
+                                  FunctionRef<void()> between_writes) EXCLUDES(file_mu_);
+  // The MANIFEST swap that ends a persisted checkpoint (or its rollback).
+  CheckpointStats FinishCheckpointLocked(CheckpointStats persisted,
+                                         const std::string& name) REQUIRES(file_mu_);
   void FlushLocked() REQUIRES(file_mu_);  // gathers buffers and writes them
   // create file + header (+fsync); false = latched failed
   bool OpenSegmentLocked(std::uint64_t number) REQUIRES(file_mu_);
@@ -282,6 +338,23 @@ class WriteAheadLog {
   std::atomic<std::uint8_t> failed_op_{0};
   std::function<void(int, IoOp)> on_durability_lost_ GUARDED_BY(file_mu_);
   std::vector<Lease> leases_ GUARDED_BY(file_mu_);
+  // The checkpoint in flight (BeginCheckpoint to its MANIFEST swap): the segment opened
+  // at its seal (which names it) and the segments sealed then, which only its swap may
+  // retain or delete — size-based rotation keeps adding live segments meanwhile.
+  std::uint64_t ckpt_segment_ GUARDED_BY(file_mu_) = 0;
+  std::vector<std::uint64_t> ckpt_sealed_ GUARDED_BY(file_mu_);
+  // Set by BeginCheckpoint, read by NoteCaptured on the same thread (the capture-time
+  // counter spans the two).
+  std::uint64_t ckpt_begin_ns_ = 0;
+  std::atomic<bool> ckpt_in_flight_{false};
+  // ckpt_mu_ hands a captured image to the flusher and the outcome back. It is never
+  // held together with file_mu_ or a buffer lock.
+  Spinlock ckpt_mu_;
+  std::unique_ptr<CheckpointImage> ckpt_job_ GUARDED_BY(ckpt_mu_);
+  std::optional<CheckpointStats> ckpt_result_ GUARDED_BY(ckpt_mu_);
+  std::atomic<std::uint64_t> ckpt_capture_ns_{0};
+  std::atomic<std::uint64_t> ckpt_persist_ns_{0};
+  std::atomic<std::uint64_t> ckpt_image_bytes_{0};
   int next_lease_id_ GUARDED_BY(file_mu_) = 1;
   std::atomic<int> lease_count_{0};
   std::thread flusher_;

@@ -122,7 +122,8 @@ void Replica::TailerMain() {
       bool loaded = false;
       {
         WriterMutexLock lock(publish_mu_);
-        loaded = Checkpoint::TryLoad(dir_ + "/" + m.checkpoint, &store_, &ck);
+        loaded = Checkpoint::TryLoad(dir_ + "/" + m.checkpoint, &store_, &ck,
+                                     opts_.io_env);
       }
       if (loaded) {
         // The checkpoint was taken right after a cut at the same barrier, so its

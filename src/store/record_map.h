@@ -18,6 +18,7 @@
 #ifndef DOPPEL_SRC_STORE_RECORD_MAP_H_
 #define DOPPEL_SRC_STORE_RECORD_MAP_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <memory>
@@ -65,8 +66,16 @@ class RecordMap {
   // Visits every record present at call time (concurrent inserts may or may not be seen).
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const Bucket& b : buckets_) {
-      for (Record* r = b.head.load(std::memory_order_acquire); r != nullptr;
+    ForEachInRange(0, buckets_.size(), fn);
+  }
+
+  // ForEach restricted to buckets [begin, end) (clamped to bucket_count()), in bucket
+  // then chain order: visiting consecutive ranges one after another is exactly ForEach.
+  template <typename Fn>
+  void ForEachInRange(std::size_t begin, std::size_t end, Fn&& fn) const {
+    end = std::min(end, buckets_.size());
+    for (std::size_t i = begin; i < end; ++i) {
+      for (Record* r = buckets_[i].head.load(std::memory_order_acquire); r != nullptr;
            r = r->hash_next.load(std::memory_order_acquire)) {
         fn(*r);
       }

@@ -165,12 +165,6 @@ class Store {
     }
     return fresh;
   }
-  // Appends sweep output to the retired list (replica apply under its publish lock).
-  void RetireRecords(std::vector<Record*>* records) {
-    SpinlockGuard lock(retired_mu_);
-    retired_.insert(retired_.end(), records->begin(), records->end());
-    records->clear();
-  }
   // Frees everything retired so far. Caller guarantees no concurrent reader can still
   // hold a pointer to a retired record (end of recovery, replica under exclusive
   // publish lock, store teardown). Returns how many were freed.
@@ -238,8 +232,8 @@ class Store {
   FlatDirSlot flats_[kMaxFlatTables];
   std::atomic<std::uint32_t> flat_count_{0};
   Spinlock flat_mu_;  // serializes registration (rare: once per flat table)
-  // Unlinked-but-not-freed records (ReplaceAbsent / RetireRecords): physically out of
-  // the map, awaiting a moment with no concurrent readers.
+  // Unlinked-but-not-freed records (ReplaceAbsent): physically out of the map,
+  // awaiting a moment with no concurrent readers.
   mutable Spinlock retired_mu_;
   std::vector<Record*> retired_ GUARDED_BY(retired_mu_);
 };

@@ -24,6 +24,9 @@ void FillWalMetrics(const Database& db, RunMetrics* m) {
   m->wal_segments = wal->segments_created();
   m->wal_checkpoints = wal->checkpoints_taken();
   m->wal_cuts = wal->cuts_emitted();
+  m->wal_checkpoint_capture_ns = wal->checkpoint_capture_ns();
+  m->wal_checkpoint_persist_ns = wal->checkpoint_persist_ns();
+  m->wal_checkpoint_image_bytes = wal->checkpoint_image_bytes();
   m->wal_io_retries = wal->io_retries();
   m->wal_checkpoint_failures = wal->checkpoint_failures();
   const DurabilityHealth h = db.durability_health();

@@ -46,6 +46,12 @@ struct RunMetrics {
   std::uint64_t wal_segments = 0;
   std::uint64_t wal_checkpoints = 0;
   std::uint64_t wal_cuts = 0;  // replication-cut records emitted at phase barriers
+  // Checkpoint cost by layer: barrier-side capture (flush, seal, encode) and
+  // background persist (CRC, write, fsync, rename, MANIFEST swap), totals over the
+  // run, plus the last image's file size.
+  std::uint64_t wal_checkpoint_capture_ns = 0;
+  std::uint64_t wal_checkpoint_persist_ns = 0;
+  std::uint64_t wal_checkpoint_image_bytes = 0;
   // Durability health: transient-I/O retries absorbed inside the persist layer,
   // checkpoints that rolled back (retried at a later barrier), and whether the run
   // ended in read-only degraded mode (plus the first permanent failure's errno and

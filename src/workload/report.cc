@@ -110,6 +110,15 @@ std::string WalSummary(const RunMetrics& m) {
       static_cast<unsigned long long>(m.wal_segments),
       static_cast<unsigned long long>(m.wal_checkpoints),
       static_cast<unsigned long long>(m.wal_cuts));
+  if (m.wal_checkpoints > 0 && n > 0 && static_cast<std::size_t>(n) < sizeof(buf)) {
+    // Where checkpoint time went: the barrier (capture) vs the background (persist).
+    n += std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
+                       " (capture %.1fms, persist %.1fms in total; last image %s)",
+                       static_cast<double>(m.wal_checkpoint_capture_ns) / 1e6,
+                       static_cast<double>(m.wal_checkpoint_persist_ns) / 1e6,
+                       FormatBytes(static_cast<double>(m.wal_checkpoint_image_bytes))
+                           .c_str());
+  }
   // One-line durability health: healthy runs show retry absorption (usually 0), a
   // degraded run names the syscall and errno that tripped the read-only latch.
   if (n > 0 && static_cast<std::size_t>(n) < sizeof(buf)) {
