@@ -113,6 +113,18 @@ TEST(Doppel, ReadsOfSplitDataStashAndStillCommit) {
   };
   db.Start([](int) { return std::make_unique<AddSource>(); });
 
+  // The coordinator opens with a full joined phase, and 50 uncontended reads finish
+  // well inside one, so start reading only once a split phase is running.
+  const PhaseController& ctrl = db.doppel()->controller();
+  bool split = false;
+  for (int i = 0; i < 2000 && !split; ++i) {
+    split = ctrl.CurrentReleasedPhase() == Phase::kSplit;
+    if (!split) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+  ASSERT_TRUE(split) << "a manually split record must start split phases";
+
   // Reads submitted while split phases cycle must block (stash) but eventually commit
   // with a value consistent with all merges so far.
   std::int64_t prev = -1;
