@@ -395,15 +395,13 @@ TxnHandle Database::SubmitPendingBlocking(PendingTxn&& pt, std::uint32_t start_i
     if (s == SubmitStatus::kStopped) {
       // Stop() began while we were blocked on backpressure (or the caller raced Stop):
       // reject gracefully with a handle that reports the abort, never a crash.
-      pt.ticket->state.store(2, std::memory_order_release);
-      pt.ticket->state.notify_all();
+      pt.ticket->Finish(TxnAbort::kUser);
       return TxnHandle(std::move(pt.ticket));
     }
     if (s == SubmitStatus::kReadOnly) {
       // Degraded mode is one-way: blocking would never unblock. Terminal ticket with
-      // the durability-lost abort (state 4) so Wait() reports why.
-      pt.ticket->state.store(4, std::memory_order_release);
-      pt.ticket->state.notify_all();
+      // the durability-lost abort so Wait() reports why.
+      pt.ticket->Finish(TxnAbort::kDurabilityLost);
       return TxnHandle(std::move(pt.ticket));
     }
     // Inbox(es) full: yield briefly, then retry from the same starting inbox.

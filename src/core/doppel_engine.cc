@@ -45,8 +45,7 @@ void DoppelEngine::Read(Worker& w, Txn& txn, Record* r, ReadResult* out) {
   // "Recall that split data cannot be read during a split phase" (§7): doom the
   // transaction; it will be stashed and restarted in the next joined phase.
   if (w.LoadPhase() == Phase::kSplit && r->IsSplit()) {
-    txn.MarkStash(r, OpCode::kGet);
-    out->present = false;
+    txn.Doom(TxnStatus::kStashed, r, OpCode::kGet);
     return;
   }
   OccRead(txn, r, out);
@@ -60,7 +59,7 @@ void DoppelEngine::Write(Worker& w, Txn& txn, PendingWrite&& pw) {
     }
     // "within a given phase, any operation but the selected operation causes the
     // containing transaction to abort (and retry in the next joined phase)" (§4).
-    txn.MarkStash(pw.record, pw.op);
+    txn.Doom(TxnStatus::kStashed, pw.record, pw.op);
     return;
   }
   OccBufferWrite(txn, std::move(pw));

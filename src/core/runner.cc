@@ -13,8 +13,7 @@ namespace {
 // first, then the ticket (handle waiters, OnComplete callback, drain counter). Runs on
 // the worker thread that finished the transaction. `abort` == kNone means committed.
 void CompleteSubmission(PendingTxn& pt, TxnAbort abort) {
-  const bool committed = abort == TxnAbort::kNone;
-  const TxnResult result{committed, pt.attempts + 1, abort};
+  const TxnResult result{abort == TxnAbort::kNone, pt.attempts + 1, abort};
   if (pt.req.on_complete != nullptr) {
     pt.req.on_complete(result, pt.req.on_complete_ctx);
   }
@@ -22,18 +21,9 @@ void CompleteSubmission(PendingTxn& pt, TxnAbort abort) {
     return;
   }
   SubmitTicket& t = *pt.ticket;
-  // attempts rides on the state release-store below: waiters acquire state first.
+  // attempts rides on the state release-store in Finish: waiters acquire state first.
   t.attempts.store(result.attempts, std::memory_order_relaxed);
-  int state = 2;  // kUser (also the stopped-before-running terminal)
-  if (committed) {
-    state = 1;
-  } else if (abort == TxnAbort::kTypeMismatch) {
-    state = 3;
-  } else if (abort == TxnAbort::kDurabilityLost) {
-    state = 4;
-  }
-  t.state.store(state, std::memory_order_release);
-  t.state.notify_all();
+  t.Finish(abort);
   std::function<void(const TxnResult&)> cb;
   {
     t.cb_mu.lock();
@@ -69,62 +59,20 @@ void ScheduleRetry(Worker& w, const RunnerConfig& cfg, PendingTxn&& pt) {
   std::push_heap(w.retry_heap.begin(), w.retry_heap.end());
 }
 
-RunOutcome RunPendingTxn(Engine& engine, const RunnerConfig& cfg, Worker& w,
-                         PendingTxn&& pt) {
+void RunPendingTxn(Engine& engine, const RunnerConfig& cfg, Worker& w, PendingTxn&& pt) {
   Txn& txn = w.txn;
   txn.Reset(&engine, &w);
-  try {
-    if (pt.req.proc != nullptr) {
-      pt.req.proc(txn, pt.req.args);
-    } else {
-      pt.ticket->fn(txn);
-    }
-  } catch (const StashSignal& s) {
-    engine.Abort(w, txn);
-    engine.OnStash(w, s);
-    w.stash_events++;
-    w.stash.push_back(std::move(pt));
-    // Rare exit: refresh the clock cache so the next batched source stamp does not
-    // silently include this transaction's execution time.
-    w.clock_ns = NowNanos();
-    return RunOutcome::kStashed;
-  } catch (const ConflictSignal& c) {
-    engine.Abort(w, txn);
-    txn.conflict_record = c.record;
-    txn.conflict_op = c.op;
-    engine.OnConflict(w, txn);
-    w.conflicts++;
-    ScheduleRetry(w, cfg, std::move(pt));
-    return RunOutcome::kRetryScheduled;
-  } catch (const UserAbortSignal&) {
-    engine.Abort(w, txn);
-    w.user_aborts++;
-    CompleteSubmission(pt, TxnAbort::kUser);
-    w.clock_ns = NowNanos();  // rare exit: keep the batched source stamp honest
-    return RunOutcome::kUserAborted;
-  } catch (const TypeMismatchSignal&) {
-    // The key exists with a different record type. Deterministic: a retry would hit the
-    // same record again, so this is terminal like a user abort, with its own result
-    // code so callers can tell a schema bug from an intentional rollback.
-    engine.Abort(w, txn);
-    w.type_mismatch_aborts++;
-    CompleteSubmission(pt, TxnAbort::kTypeMismatch);
-    w.clock_ns = NowNanos();  // rare exit: keep the batched source stamp honest
-    return RunOutcome::kTypeMismatchAborted;
+  if (pt.req.proc != nullptr) {
+    pt.req.proc(txn, pt.req.args);
+  } else {
+    pt.ticket->fn(txn);
   }
 
-  if (txn.stash_doomed()) {
-    // Doomed by a split-data access (poison path, no exception): stash for the next
-    // joined phase.
-    engine.Abort(w, txn);
-    engine.OnStash(w, StashSignal{txn.stash_record(), txn.stash_op()});
-    w.stash_events++;
-    w.stash.push_back(std::move(pt));
-    w.clock_ns = NowNanos();  // rare exit: keep the batched source stamp honest
-    return RunOutcome::kStashed;
-  }
-
-  if (cfg.degraded != nullptr && cfg.degraded->load(std::memory_order_acquire) &&
+  // One outcome per attempt: the doom reason if an access (or the body) ended it early,
+  // else the degraded gate, else the commit protocol's verdict.
+  TxnStatus status = txn.doom_reason();  // kCommitted unless doomed
+  if (!txn.doomed() && cfg.degraded != nullptr &&
+      cfg.degraded->load(std::memory_order_acquire) &&
       (!txn.write_set().empty() || !txn.split_writes().empty())) {
     // Read-only degraded mode (permanent WAL failure): committing these writes would
     // drop their redo entries on the floor, so the transaction terminates with the
@@ -132,19 +80,49 @@ RunOutcome RunPendingTxn(Engine& engine, const RunnerConfig& cfg, Worker& w,
     // committing. For the Atomic baseline engine — which applies writes at Write()
     // time, not commit — the gate is advisory: the abort still truthfully reports that
     // durability was lost, and new submissions bounce at the door (kReadOnly).
+    status = TxnStatus::kDurabilityLost;
+  }
+  if (status == TxnStatus::kCommitted) {
+    status = engine.Commit(w, txn);
+  } else {
     engine.Abort(w, txn);
-    w.durability_aborts++;
-    CompleteSubmission(pt, TxnAbort::kDurabilityLost);
-    w.clock_ns = NowNanos();  // rare exit: keep the batched source stamp honest
-    return RunOutcome::kDurabilityAborted;
   }
 
-  const TxnStatus status = engine.Commit(w, txn);
-  if (status == TxnStatus::kConflict) {
-    engine.OnConflict(w, txn);
-    w.conflicts++;
-    ScheduleRetry(w, cfg, std::move(pt));
-    return RunOutcome::kRetryScheduled;
+  switch (status) {
+    case TxnStatus::kCommitted:
+      break;
+    case TxnStatus::kConflict:
+      engine.OnConflict(w, txn);
+      w.conflicts++;
+      ScheduleRetry(w, cfg, std::move(pt));  // also refreshes w.clock_ns
+      return;
+    case TxnStatus::kStashed:
+      // Split data blocked the attempt: restart it in the next joined phase (§5.2).
+      engine.OnStash(w, StashSignal{txn.doom_record(), txn.doom_op()});
+      w.stash_events++;
+      w.stash.push_back(std::move(pt));
+      break;
+    case TxnStatus::kUserAbort:
+      w.user_aborts++;
+      CompleteSubmission(pt, TxnAbort::kUser);
+      break;
+    case TxnStatus::kTypeMismatch:
+      // The key exists with a different record type. Deterministic: a retry would hit
+      // the same record again, so this is terminal like a user abort, with its own
+      // result code so callers can tell a schema bug from an intentional rollback.
+      w.type_mismatch_aborts++;
+      CompleteSubmission(pt, TxnAbort::kTypeMismatch);
+      break;
+    case TxnStatus::kDurabilityLost:
+      w.durability_aborts++;
+      CompleteSubmission(pt, TxnAbort::kDurabilityLost);
+      break;
+  }
+  if (status != TxnStatus::kCommitted) {
+    // Rare exit: refresh the clock cache so the next batched source stamp does not
+    // silently include this transaction's execution time.
+    w.clock_ns = NowNanos();
+    return;
   }
 
   if (cfg.wal != nullptr) {
@@ -174,7 +152,6 @@ RunOutcome RunPendingTxn(Engine& engine, const RunnerConfig& cfg, Worker& w,
     w.latency_by_tag[tag].Record(latency == 0 ? 1 : latency);
   }
   CompleteSubmission(pt, TxnAbort::kNone);
-  return RunOutcome::kCommitted;
 }
 
 }  // namespace doppel

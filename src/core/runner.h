@@ -2,7 +2,7 @@
 // transactions are counted and their latency recorded (from args.submit_ns, stamped at
 // submission so queueing delay is included); conflict aborts are scheduled for retry
 // with exponential backoff; split-blocked transactions are stashed for the next joined
-// phase (§8.1, §5.2). Terminal outcomes (commit / user abort) additionally deliver the
+// phase (§8.1, §5.2). Terminal outcomes (commit or a non-retried abort) deliver the
 // TxnResult to the request's POD completion slot and, for external submissions, to the
 // SubmitTicket behind the client's TxnHandle — including its OnComplete callback and the
 // Database drain counter.
@@ -28,15 +28,6 @@ struct RunnerConfig {
   const std::atomic<bool>* degraded = nullptr;
 };
 
-enum class RunOutcome {
-  kCommitted,
-  kRetryScheduled,
-  kStashed,
-  kUserAborted,
-  kTypeMismatchAborted,  // terminal: the key exists with a different record type
-  kDurabilityAborted,    // terminal: degraded read-only mode refused the writes
-};
-
 // Pushes `pt` onto the worker's retry heap with exponential backoff + jitter.
 void ScheduleRetry(Worker& w, const RunnerConfig& cfg, PendingTxn&& pt);
 
@@ -47,8 +38,7 @@ void ScheduleRetry(Worker& w, const RunnerConfig& cfg, PendingTxn&& pt);
 void AbandonPendingTxn(PendingTxn&& pt);
 
 // Executes one attempt of `pt` on `w` (which must be the calling thread's worker).
-RunOutcome RunPendingTxn(Engine& engine, const RunnerConfig& cfg, Worker& w,
-                         PendingTxn&& pt);
+void RunPendingTxn(Engine& engine, const RunnerConfig& cfg, Worker& w, PendingTxn&& pt);
 
 }  // namespace doppel
 

@@ -122,7 +122,7 @@ std::size_t AtomicEngine::Scan(Worker& w, Txn& txn, std::uint64_t table, std::ui
         continue;
       }
       ++visited;
-      if (!fn(rec->key(), res)) {
+      if (!fn(rec->key(), res) || txn.doomed()) {
         return visited;
       }
       if (limit != 0 && visited >= limit) {

@@ -20,21 +20,15 @@
 
 namespace doppel {
 
-enum class TxnStatus {
-  kCommitted,
-  kConflict,   // lost an OCC validation / lock; retry with backoff
-  kStashed,    // blocked on split data; restart in the next joined phase
-  kUserAbort,  // transaction body aborted; do not retry
-};
-
 class Engine {
  public:
   virtual ~Engine() = default;
   virtual const char* name() const = 0;
 
   // Key -> record, creating a logically-absent record of `type` on first access.
-  // Throws TypeMismatchSignal when the key already exists with a different type (the
-  // record's type is fixed at creation; only a physical reclaim can retire it).
+  // When the key already exists with a different type (the record's type is fixed at
+  // creation; only a physical reclaim can retire it), dooms the attempt with
+  // kTypeMismatch and returns nullptr.
   virtual Record* Route(Worker& w, const Key& key, RecordType type, std::size_t topk_k) = 0;
 
   // Key -> record for Txn::Delete: adapts to whatever type the key currently has
@@ -42,14 +36,17 @@ class Engine {
   // type-mismatch.
   virtual Record* RouteDelete(Worker& w, const Key& key) = 0;
 
-  // Protocol read into `out`. May throw StashSignal (Doppel) or ConflictSignal (2PL).
+  // Protocol read into `out`. An access that cannot proceed dooms the transaction (a
+  // stash under Doppel, a conflict under OCC and 2PL) and leaves `out` unspecified.
   virtual void Read(Worker& w, Txn& txn, Record* r, ReadResult* out) = 0;
 
-  // Protocol write routing. May throw StashSignal or ConflictSignal.
+  // Protocol write routing. May doom the transaction as Read does; a doomed write is
+  // not buffered.
   virtual void Write(Worker& w, Txn& txn, PendingWrite&& pw) = 0;
 
   // Serializable range scan over the ordered index (see Txn::Scan for the contract).
-  // May throw ConflictSignal (2PL); Doppel dooms the transaction for stashing instead.
+  // Stops early once the transaction is doomed (a 2PL lock timeout, a split record
+  // under Doppel, or `fn` calling UserAbort).
   // `fn` is a borrowed reference (FunctionRef): call it during the scan only.
   virtual std::size_t Scan(Worker& w, Txn& txn, std::uint64_t table, std::uint64_t lo,
                            std::uint64_t hi, std::size_t limit, ScanFn fn) = 0;
@@ -57,7 +54,7 @@ class Engine {
   // Commit protocol; returns kCommitted or kConflict (conflict details left in txn).
   virtual TxnStatus Commit(Worker& w, Txn& txn) = 0;
 
-  // Releases engine resources after a signal or user abort.
+  // Releases engine resources held by a doomed or degraded-gated attempt.
   virtual void Abort(Worker& w, Txn& txn) = 0;
 
   // Called by the worker loop between transactions (phase transitions; default no-op).
@@ -82,12 +79,13 @@ class Engine {
   // Shared Route body: resolve the key — worker-local route cache first, then the
   // store's front door — skipping past records the epoch sweeper has marked dead (a
   // dead record is instants from being unlinked — spin until the fresh lookup stops
-  // returning it), then enforce the type contract.
+  // returning it), then enforce the type contract (a mismatch dooms the attempt).
   static Record* RouteInStore(Worker& w, Store& s, const Key& key, RecordType type,
                               std::size_t topk_k) {
     Record* r = RouteAnyType(w, s, key, type, topk_k);
     if (r->type() != type) {
-      throw TypeMismatchSignal{key, type, r->type()};
+      w.txn.Doom(TxnStatus::kTypeMismatch, r);
+      return nullptr;
     }
     return r;
   }

@@ -14,39 +14,31 @@ Record* OccEngine::RouteDelete(Worker& w, const Key& key) {
   return RouteAnyType(w, store_, key, RecordType::kInt64, 0);
 }
 
-namespace {
-
-// A snapshot of a sweeper-killed record must not enter the read set: the record's TID
-// is frozen from here on (new writes to the key go to a fresh record), so a stale
-// "absent" read would validate forever. The sweeper bumps the TID when it marks the
-// record dead — a snapshot taken *before* the mark carries the old TID and fails
-// commit validation; a snapshot taken *after* carries the bumped TID, whose release
-// store also published the dead flag, so this check (acquire in IsDead) sees it and
-// aborts to a retry that re-routes to a fresh record.
-inline void ThrowIfDead(Txn& txn, Record* r) {
-  if (r->IsDead()) {
-    txn.conflict_record = r;
-    txn.conflict_op = OpCode::kGet;
-    throw ConflictSignal{r, OpCode::kGet};
-  }
-}
-
-}  // namespace
-
 void OccEngine::OccRead(Txn& txn, Record* r, ReadResult* out) {
+  std::uint64_t tid = 0;
   if (r->type() == RecordType::kInt64) {
     const Record::IntSnapshot s = r->ReadInt();
-    ThrowIfDead(txn, r);
     out->present = s.present;
     out->i = s.value;
-    txn.read_set().push_back(ReadEntry{r, s.tid});
+    tid = s.tid;
+  } else {
+    Record::ComplexSnapshot s = r->ReadComplex();
+    out->present = s.present;
+    out->complex = std::move(s.value);
+    tid = s.tid;
+  }
+  // A snapshot of a sweeper-killed record must not enter the read set: the record's TID
+  // is frozen from here on (new writes to the key go to a fresh record), so a stale
+  // "absent" read would validate forever. The sweeper bumps the TID when it marks the
+  // record dead — a snapshot taken *before* the mark carries the old TID and fails
+  // commit validation; a snapshot taken *after* carries the bumped TID, whose release
+  // store also published the dead flag, so this check (acquire in IsDead) sees it and
+  // dooms the attempt to a retry that re-routes to a fresh record.
+  if (r->IsDead()) {
+    txn.Doom(TxnStatus::kConflict, r, OpCode::kGet);
     return;
   }
-  Record::ComplexSnapshot s = r->ReadComplex();
-  ThrowIfDead(txn, r);
-  out->present = s.present;
-  out->complex = std::move(s.value);
-  txn.read_set().push_back(ReadEntry{r, s.tid});
+  txn.read_set().push_back(ReadEntry{r, tid});
 }
 
 void OccEngine::OccBufferWrite(Txn& txn, PendingWrite&& pw) {
@@ -96,11 +88,14 @@ std::size_t OccEngine::OccScan(Txn& txn, std::uint64_t table, std::uint64_t lo,
     for (const auto& [key_lo, rec] : batch) {
       (void)key_lo;
       if (stash_on_split && rec->IsSplit()) {
-        txn.MarkStash(rec, OpCode::kGet);
+        txn.Doom(TxnStatus::kStashed, rec, OpCode::kGet);
         return visited;
       }
       ReadResult res;
       OccRead(txn, rec, &res);
+      if (txn.doomed()) {
+        return visited;  // a reclaimed record: no read-set entry to tag
+      }
       // Tag the read entry with its scan origin so a validation failure on this record
       // is also charged to the partition (per-partition conflict telemetry).
       txn.read_set().back().scan_part = static_cast<std::int32_t>(p);
@@ -109,7 +104,7 @@ std::size_t OccEngine::OccScan(Txn& txn, std::uint64_t table, std::uint64_t lo,
         continue;  // index entries are present by construction; defensive only
       }
       ++visited;
-      if (!fn(rec->key(), res)) {
+      if (!fn(rec->key(), res) || txn.doomed()) {
         return visited;
       }
       if (limit != 0 && visited >= limit) {

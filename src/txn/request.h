@@ -32,10 +32,10 @@ using TxnProc = void (*)(Txn&, const TxnArgs&);
 // Why a transaction ended without committing (kNone when it committed).
 enum class TxnAbort : std::uint8_t {
   kNone = 0,
-  // Txn::Abort() from the body, or the database stopped before the transaction ran.
+  // Txn::UserAbort() from the body, or the database stopped before the transaction ran.
   kUser = 1,
   // An op's required record type conflicted with the key's existing record type
-  // (see TypeMismatchSignal); terminal, never retried.
+  // (see Engine::Route); terminal, never retried.
   kTypeMismatch = 2,
   // The database is in read-only degraded mode after a permanent WAL failure: the
   // transaction's writes could not be made durable, so it was terminated (in-flight)

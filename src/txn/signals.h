@@ -1,13 +1,11 @@
-// Control-flow signals thrown out of transaction bodies.
+// The stash notice an engine's classifier hook receives.
 //
-// Doppel transactions are one-shot procedures; when an access cannot proceed (a read of
-// split data in a split phase, a lock timeout in 2PL) the whole procedure must unwind
-// immediately — exactly what exceptions are for. These are tiny PODs thrown on cold paths
-// only; the commit-time OCC conflict path returns a status instead.
+// Doppel transactions are one-shot procedures. An access that cannot proceed dooms the
+// attempt through the Txn's doom slot (Txn::Doom); nothing is thrown. When the doom is a
+// stash, the runner passes the blocking access to Engine::OnStash as a StashSignal.
 #ifndef DOPPEL_SRC_TXN_SIGNALS_H_
 #define DOPPEL_SRC_TXN_SIGNALS_H_
 
-#include "src/store/key.h"
 #include "src/txn/op.h"
 
 namespace doppel {
@@ -19,26 +17,6 @@ class Record;
 struct StashSignal {
   Record* record;
   OpCode op;
-};
-
-// The transaction lost a conflict at access time (2PL lock timeout / upgrade failure) and
-// should be retried with backoff.
-struct ConflictSignal {
-  Record* record;
-  OpCode op;
-};
-
-// The transaction body requested an abort; it will not be retried.
-struct UserAbortSignal {};
-
-// An operation required a record type that conflicts with the key's existing record
-// (e.g. PutBytes on a key created as an int64 counter). The record's type is fixed at
-// creation and only a physical reclaim (epoch sweep of an absent record) can retire it,
-// so this is a terminal per-transaction abort, not a retryable conflict.
-struct TypeMismatchSignal {
-  Key key;
-  RecordType required;
-  RecordType actual;
 };
 
 }  // namespace doppel

@@ -17,101 +17,107 @@ Record* TwoPLEngine::RouteDelete(Worker& w, const Key& key) {
   return RouteAnyType(w, store_, key, RecordType::kInt64, 0);
 }
 
-void TwoPLEngine::EnsureShared(Txn& txn, Record* r) {
-  for (const LockEntry& e : txn.locks()) {
-    if (e.record == r) {
-      return;  // shared or exclusive: either allows reading
-    }
-  }
-  if (!r->rw.try_lock_shared_for(limits_.shared_spin)) {
-    throw ConflictSignal{r, OpCode::kGet};
-  }
-  txn.locks().push_back(LockEntry{r, false});
-  // The sweeper marks a record dead only while holding rw exclusively, so under our
-  // shared lock deadness is stable: dead here means it was unlinked before we locked,
-  // and the retry re-routes to a fresh record. ReleaseAll drops the lock on unwind.
-  if (r->IsDead()) {
-    throw ConflictSignal{r, OpCode::kGet};
-  }
-}
-
-void TwoPLEngine::EnsureExclusive(Txn& txn, Record* r, OpCode op) {
-  for (LockEntry& e : txn.locks()) {
-    if (e.record == r) {
-      if (e.exclusive) {
-        return;
-      }
-      if (!r->rw.try_upgrade_for(limits_.upgrade_spin)) {
-        throw ConflictSignal{r, op};  // upgrade deadlock (two upgraders) resolves here
-      }
-      e.exclusive = true;
-      return;
-    }
-  }
-  if (!r->rw.try_lock_for(limits_.exclusive_spin)) {
-    throw ConflictSignal{r, op};
-  }
-  txn.locks().push_back(LockEntry{r, true});
-  // Same argument as EnsureShared: a record already in txn.locks() was vetted when
-  // first acquired and cannot die while we hold its rw lock.
-  if (r->IsDead()) {
-    throw ConflictSignal{r, op};
-  }
-}
-
 namespace {
 
+// A lock not taken in time is this protocol's access-time conflict: doom the attempt
+// (retry with backoff); the locks already held stay in the lock set for Abort to release.
+bool Lost(Txn& txn, Record* r, OpCode op) {
+  txn.Doom(TxnStatus::kConflict, r, op);
+  return false;
+}
+
 // A partition-lock timeout is this protocol's scan conflict: record it against the
-// stripe (raw telemetry) and in the transaction (sampled attribution) before unwinding.
-[[noreturn]] void ThrowIndexConflict(Txn& txn, std::uint64_t table,
-                                     std::uint32_t part_index, IndexPartition* p,
-                                     OpCode op) {
+// stripe (raw telemetry) and in the transaction (sampled attribution), then doom.
+bool IndexConflict(Txn& txn, std::uint64_t table, std::uint32_t part_index,
+                   IndexPartition* p, OpCode op) {
   p->scan_conflicts.fetch_add(1, std::memory_order_relaxed);
   if (txn.scan_set_conflicts.size() < 8) {
     txn.scan_set_conflicts.push_back(ScanSetConflict{table, part_index});
   }
-  throw ConflictSignal{nullptr, op};
+  return Lost(txn, nullptr, op);
 }
 
 }  // namespace
 
-void TwoPLEngine::EnsureIndexShared(Txn& txn, std::uint64_t table,
+bool TwoPLEngine::EnsureShared(Txn& txn, Record* r) {
+  for (const LockEntry& e : txn.locks()) {
+    if (e.record == r) {
+      return true;  // shared or exclusive: either allows reading
+    }
+  }
+  if (!r->rw.try_lock_shared_for(limits_.shared_spin)) {
+    return Lost(txn, r, OpCode::kGet);
+  }
+  txn.locks().push_back(LockEntry{r, false});
+  // The sweeper marks a record dead only while holding rw exclusively, so under our
+  // shared lock deadness is stable: dead here means it was unlinked before we locked,
+  // and the retry re-routes to a fresh record. Abort's ReleaseAll drops the lock.
+  return !r->IsDead() || Lost(txn, r, OpCode::kGet);
+}
+
+bool TwoPLEngine::EnsureExclusive(Txn& txn, Record* r, OpCode op) {
+  for (LockEntry& e : txn.locks()) {
+    if (e.record == r) {
+      if (e.exclusive) {
+        return true;
+      }
+      if (!r->rw.try_upgrade_for(limits_.upgrade_spin)) {
+        return Lost(txn, r, op);  // upgrade deadlock (two upgraders) resolves here
+      }
+      e.exclusive = true;
+      return true;
+    }
+  }
+  if (!r->rw.try_lock_for(limits_.exclusive_spin)) {
+    return Lost(txn, r, op);
+  }
+  txn.locks().push_back(LockEntry{r, true});
+  // Same argument as EnsureShared: a record already in txn.locks() was vetted when
+  // first acquired and cannot die while we hold its rw lock.
+  return !r->IsDead() || Lost(txn, r, op);
+}
+
+bool TwoPLEngine::EnsureIndexShared(Txn& txn, std::uint64_t table,
                                     std::uint32_t part_index, IndexPartition* p) {
   for (const IndexLockEntry& e : txn.index_locks()) {
     if (e.partition == p) {
-      return;
+      return true;
     }
   }
   if (!p->rw.try_lock_shared_for(limits_.shared_spin)) {
-    ThrowIndexConflict(txn, table, part_index, p, OpCode::kGet);
+    return IndexConflict(txn, table, part_index, p, OpCode::kGet);
   }
   txn.index_locks().push_back(IndexLockEntry{p, false});
+  return true;
 }
 
-void TwoPLEngine::EnsureIndexExclusive(Txn& txn, std::uint64_t table,
+bool TwoPLEngine::EnsureIndexExclusive(Txn& txn, std::uint64_t table,
                                        std::uint32_t part_index, IndexPartition* p,
                                        OpCode op) {
   for (IndexLockEntry& e : txn.index_locks()) {
     if (e.partition == p) {
       if (e.exclusive) {
-        return;
+        return true;
       }
       if (!p->rw.try_upgrade_for(limits_.upgrade_spin)) {
-        ThrowIndexConflict(txn, table, part_index, p, op);
+        return IndexConflict(txn, table, part_index, p, op);
       }
       e.exclusive = true;
-      return;
+      return true;
     }
   }
   if (!p->rw.try_lock_for(limits_.exclusive_spin)) {
-    ThrowIndexConflict(txn, table, part_index, p, op);
+    return IndexConflict(txn, table, part_index, p, op);
   }
   txn.index_locks().push_back(IndexLockEntry{p, true});
+  return true;
 }
 
 void TwoPLEngine::Read(Worker& w, Txn& txn, Record* r, ReadResult* out) {
   (void)w;
-  EnsureShared(txn, r);
+  if (!EnsureShared(txn, r)) {
+    return;
+  }
   // Holding at least a shared lock: no 2PL writer can be applying, so the snapshot spin
   // loops never iterate.
   if (r->type() == RecordType::kInt64) {
@@ -127,7 +133,9 @@ void TwoPLEngine::Read(Worker& w, Txn& txn, Record* r, ReadResult* out) {
 
 void TwoPLEngine::Write(Worker& w, Txn& txn, PendingWrite&& pw) {
   (void)w;
-  EnsureExclusive(txn, pw.record, pw.op);
+  if (!EnsureExclusive(txn, pw.record, pw.op)) {
+    return;
+  }
   // A write to a logically-absent record is an insert-to-be: commit will add it to the
   // ordered index, so the growing phase must also take the index partition's exclusive
   // lock (2PL phantom protection against concurrent scanners). A delete is the mirror
@@ -138,8 +146,10 @@ void TwoPLEngine::Write(Worker& w, Txn& txn, PendingWrite&& pw) {
     const Key& k = pw.record->key();
     OrderedIndex::TableIndex& tab = store_.index().GetOrCreateTable(k.hi);
     const std::size_t p = tab.PartitionOf(k.lo);
-    EnsureIndexExclusive(txn, k.hi, static_cast<std::uint32_t>(p), &tab.partitions[p],
-                         pw.op);
+    if (!EnsureIndexExclusive(txn, k.hi, static_cast<std::uint32_t>(p),
+                              &tab.partitions[p], pw.op)) {
+      return;
+    }
   }
   txn.BufferWrite(std::move(pw));
 }
@@ -159,19 +169,24 @@ std::size_t TwoPLEngine::Scan(Worker& w, Txn& txn, std::uint64_t table, std::uin
   for (std::size_t p = p_lo; p <= p_hi; ++p) {
     IndexPartition& part = tab.partitions[p];
     // Held until commit/abort: no insert into this stripe can commit while we run.
-    EnsureIndexShared(txn, table, static_cast<std::uint32_t>(p), &part);
+    if (!EnsureIndexShared(txn, table, static_cast<std::uint32_t>(p), &part)) {
+      return visited;
+    }
     batch.clear();
     OrderedIndex::SnapshotRange(part, lo, hi, limit == 0 ? 0 : limit - visited, &batch);
     for (const auto& [key_lo, rec] : batch) {
       (void)key_lo;
       ReadResult res;
       Read(w, txn, rec, &res);  // takes the record's shared lock for the txn's duration
+      if (txn.doomed()) {
+        return visited;
+      }
       txn.OverlayPending(rec, &res);
       if (!res.present) {
         continue;
       }
       ++visited;
-      if (!fn(rec->key(), res)) {
+      if (!fn(rec->key(), res) || txn.doomed()) {
         return visited;
       }
       if (limit != 0 && visited >= limit) {

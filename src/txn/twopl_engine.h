@@ -40,18 +40,20 @@ class TwoPLEngine : public Engine {
   // Ensure* helpers acquire a record/partition RW lock, stash it in txn.locks() /
   // txn.index_locks(), and return still holding it; ReleaseAll drops locks it never
   // acquired. The 2PL invariant (every acquired lock is released exactly once by
-  // ReleaseAll at commit/abort, including the ConflictSignal unwind) is checked
-  // dynamically by tests/txn_twopl_test.cc under TSan instead.
-  void EnsureShared(Txn& txn, Record* r) NO_THREAD_SAFETY_ANALYSIS;
-  void EnsureExclusive(Txn& txn, Record* r, OpCode op) NO_THREAD_SAFETY_ANALYSIS;
+  // ReleaseAll at commit/abort, including after a timeout dooms the attempt) is checked
+  // dynamically by tests/txn_twopl_test.cc under TSan instead. Each helper returns
+  // false after a timeout has doomed the attempt as a conflict; the caller must stop
+  // and take no further locks.
+  bool EnsureShared(Txn& txn, Record* r) NO_THREAD_SAFETY_ANALYSIS;
+  bool EnsureExclusive(Txn& txn, Record* r, OpCode op) NO_THREAD_SAFETY_ANALYSIS;
   // Transaction-duration index-partition locks (phantom protection: scans share,
   // inserts of newly-present records exclude). A timeout is a scan conflict: it is
   // charged to the partition's telemetry and attributed in txn.scan_set_conflicts
-  // before the ConflictSignal unwinds.
-  void EnsureIndexShared(Txn& txn, std::uint64_t table, std::uint32_t part_index,
+  // before the attempt is doomed.
+  bool EnsureIndexShared(Txn& txn, std::uint64_t table, std::uint32_t part_index,
                          IndexPartition* p) NO_THREAD_SAFETY_ANALYSIS;
   // Same transaction-duration acquisition pattern as EnsureIndexShared above.
-  void EnsureIndexExclusive(Txn& txn, std::uint64_t table, std::uint32_t part_index,
+  bool EnsureIndexExclusive(Txn& txn, std::uint64_t table, std::uint32_t part_index,
                             IndexPartition* p, OpCode op) NO_THREAD_SAFETY_ANALYSIS;
   // Releases the transaction-duration lock set acquired piecemeal by the Ensure*
   // helpers above — capabilities the analysis never saw this function acquire.

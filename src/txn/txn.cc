@@ -6,7 +6,6 @@
 #include "src/common/dassert.h"
 #include "src/txn/apply.h"
 #include "src/txn/engine.h"
-#include "src/txn/signals.h"
 #include "src/txn/worker.h"
 
 namespace doppel {
@@ -159,57 +158,50 @@ void Txn::OverlayPending(Record* r, ReadResult* res) const {
   }
 }
 
-std::optional<std::int64_t> Txn::GetInt(const Key& key) {
-  if (stash_doomed_) {
-    return std::nullopt;
+bool Txn::ReadKey(const Key& key, RecordType type, std::size_t topk_k,
+                  ReadResult* res) {
+  if (doomed()) {
+    return false;
   }
-  Record* r = engine_->Route(*worker_, key, RecordType::kInt64, 0);
+  Record* r = engine_->Route(*worker_, key, type, topk_k);
+  if (r == nullptr) {
+    return false;  // type mismatch: Route doomed the attempt
+  }
+  engine_->Read(*worker_, *this, r, res);
+  if (doomed()) {
+    return false;
+  }
+  OverlayPending(r, res);
+  return res->present;
+}
+
+std::optional<std::int64_t> Txn::GetInt(const Key& key) {
   ReadResult res;
-  engine_->Read(*worker_, *this, r, &res);
-  OverlayPending(r, &res);
-  if (!res.present) {
+  if (!ReadKey(key, RecordType::kInt64, 0, &res)) {
     return std::nullopt;
   }
   return res.i;
 }
 
 std::optional<std::string> Txn::GetBytes(const Key& key) {
-  if (stash_doomed_) {
-    return std::nullopt;
-  }
-  Record* r = engine_->Route(*worker_, key, RecordType::kBytes, 0);
   ReadResult res;
-  engine_->Read(*worker_, *this, r, &res);
-  OverlayPending(r, &res);
-  if (!res.present) {
+  if (!ReadKey(key, RecordType::kBytes, 0, &res)) {
     return std::nullopt;
   }
   return std::get<std::string>(std::move(res.complex));
 }
 
 std::optional<OrderedTuple> Txn::GetOrdered(const Key& key) {
-  if (stash_doomed_) {
-    return std::nullopt;
-  }
-  Record* r = engine_->Route(*worker_, key, RecordType::kOrdered, 0);
   ReadResult res;
-  engine_->Read(*worker_, *this, r, &res);
-  OverlayPending(r, &res);
-  if (!res.present) {
+  if (!ReadKey(key, RecordType::kOrdered, 0, &res)) {
     return std::nullopt;
   }
   return std::get<OrderedTuple>(std::move(res.complex));
 }
 
 std::optional<TopKSet> Txn::GetTopK(const Key& key, std::size_t k) {
-  if (stash_doomed_) {
-    return std::nullopt;
-  }
-  Record* r = engine_->Route(*worker_, key, RecordType::kTopK, k);
   ReadResult res;
-  engine_->Read(*worker_, *this, r, &res);
-  OverlayPending(r, &res);
-  if (!res.present) {
+  if (!ReadKey(key, RecordType::kTopK, k, &res)) {
     return std::nullopt;
   }
   return std::get<TopKSet>(std::move(res.complex));
@@ -217,10 +209,13 @@ std::optional<TopKSet> Txn::GetTopK(const Key& key, std::size_t k) {
 
 void Txn::IssueWrite(const Key& key, OpCode op, std::int64_t n, const OrderKey& order,
                      std::string_view payload, std::size_t topk_k) {
-  if (stash_doomed_) {
-    return;  // the transaction will be stashed; all effects are discarded
+  if (doomed()) {
+    return;  // the attempt is over; all effects are discarded
   }
   Record* r = engine_->Route(*worker_, key, OpRecordType(op), topk_k);
+  if (r == nullptr) {
+    return;  // type mismatch: Route doomed the attempt
+  }
   PendingWrite w;
   w.record = r;
   w.op = op;
@@ -231,8 +226,8 @@ void Txn::IssueWrite(const Key& key, OpCode op, std::int64_t n, const OrderKey& 
 }
 
 void Txn::Delete(const Key& key) {
-  if (stash_doomed_) {
-    return;  // the transaction will be stashed; all effects are discarded
+  if (doomed()) {
+    return;  // the attempt is over; all effects are discarded
   }
   // Deletes adapt to the existing record's type (like kGet), so they route through the
   // type-agnostic path instead of IssueWrite's typed Route. Deleting a never-stored key
@@ -282,8 +277,8 @@ void Txn::TopKInsert(const Key& key, OrderKey order, std::string_view payload,
 
 std::size_t Txn::Scan(std::uint64_t table, std::uint64_t lo, std::uint64_t hi,
                       std::size_t limit, ScanFn fn) {
-  if (stash_doomed_) {
-    return 0;  // the transaction will be stashed; execution continues without effects
+  if (doomed()) {
+    return 0;  // the attempt is over; execution continues without effects
   }
   // Read-your-own-writes for inserts: a write-set record that is still absent from the
   // index (a not-yet-committed insert) is invisible to the engine scan, so the window's
@@ -291,9 +286,8 @@ std::size_t Txn::Scan(std::uint64_t table, std::uint64_t lo, std::uint64_t hi,
   // entries for records the engine does visit are dropped on the key match below (the
   // engine already overlays pending writes onto visited snapshots).
   // The merge buffer is leased from per-transaction scratch (RAII move-out/move-back):
-  // the common case allocates nothing, a nested scan finds an empty scratch and simply
-  // pays a fresh allocation instead of corrupting this frame's merge state, and an
-  // engine throw (2PL partition-lock timeout) still returns the grown buffer.
+  // the common case allocates nothing, and a nested scan finds an empty scratch and
+  // simply pays a fresh allocation instead of corrupting this frame's merge state.
   ScanScratchLease own_lease(scan_own_);
   auto& own = own_lease.get();
   own.clear();
@@ -323,7 +317,7 @@ std::size_t Txn::Scan(std::uint64_t table, std::uint64_t lo, std::uint64_t hi,
       return true;  // the buffered ops never made the record logically present
     }
     ++emitted;
-    if (!fn(r->key(), base) || (limit != 0 && emitted >= limit)) {
+    if (!fn(r->key(), base) || doomed() || (limit != 0 && emitted >= limit)) {
       stopped = true;
       return false;
     }
@@ -343,15 +337,15 @@ std::size_t Txn::Scan(std::uint64_t table, std::uint64_t lo, std::uint64_t hi,
       ++oi;  // visited by the engine: the overlay already applied our writes
     }
     ++emitted;
-    if (!fn(k, v) || (limit != 0 && emitted >= limit)) {
+    if (!fn(k, v) || doomed() || (limit != 0 && emitted >= limit)) {
       stopped = true;
       return false;
     }
     return true;
   };
   engine_->Scan(*worker_, *this, table, lo, hi, limit, merged);
-  if (stash_doomed_) {
-    return emitted;  // doomed mid-scan (split window); all effects are discarded anyway
+  if (doomed()) {
+    return emitted;  // doomed mid-scan; all effects are discarded anyway
   }
   while (!stopped && oi < own.size()) {
     if (!emit_own(own[oi++].second)) {
@@ -361,6 +355,6 @@ std::size_t Txn::Scan(std::uint64_t table, std::uint64_t lo, std::uint64_t hi,
   return emitted;
 }
 
-void Txn::UserAbort() { throw UserAbortSignal{}; }
+void Txn::UserAbort() { Doom(TxnStatus::kUserAbort); }
 
 }  // namespace doppel

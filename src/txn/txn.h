@@ -102,6 +102,18 @@ inline void StoreOperand(WriteArena& a, OpCode op, const OrderKey& order,
   }
 }
 
+// How a transaction attempt ends. Engine::Commit returns kCommitted or kConflict; an
+// attempt that ends early carries its reason in the Txn's doom slot (see Txn::Doom), and
+// the runner's degraded-mode gate adds kDurabilityLost.
+enum class TxnStatus {
+  kCommitted,
+  kConflict,        // lost an OCC validation / lock; retry with backoff
+  kStashed,         // blocked on split data; restart in the next joined phase
+  kUserAbort,       // transaction body aborted; do not retry
+  kTypeMismatch,    // an op's record type conflicts with the key's; do not retry
+  kDurabilityLost,  // degraded read-only mode refused the writes; do not retry
+};
+
 // A typed snapshot produced by an engine read.
 struct ReadResult {
   bool present = false;
@@ -193,12 +205,15 @@ class Txn {
   // into a traversed partition aborts this transaction at commit; under 2PL partitions
   // are read-locked for the transaction's duration; under Doppel a scan whose window
   // contains a split record during a split phase stashes the transaction (§7: split data
-  // is unreadable in a split phase).
+  // is unreadable in a split phase). The scan stops as soon as the transaction is doomed
+  // (see Doom), including by a callback that calls UserAbort.
   std::size_t Scan(std::uint64_t table, std::uint64_t lo, std::uint64_t hi,
                    std::size_t limit, ScanFn fn);
 
-  // Aborts the transaction; it will not be retried.
-  [[noreturn]] void UserAbort();
+  // Aborts the transaction; it will not be retried. Dooms the attempt and returns, so the
+  // body should return too: later reads return std::nullopt, later writes are dropped,
+  // and a scan stops after the callback that called UserAbort.
+  void UserAbort();
 
   // Identity of the executing worker (also the OPut/TopKInsert core-ID component).
   int worker_id() const;
@@ -222,9 +237,9 @@ class Txn {
     conflicts.clear();
     scan_conflict = false;
     scan_set_conflicts.clear();
-    stash_doomed_ = false;
-    stash_record_ = nullptr;
-    stash_op_ = OpCode::kGet;
+    doom_ = TxnStatus::kCommitted;
+    doom_record_ = nullptr;
+    doom_op_ = OpCode::kGet;
   }
 
   std::vector<ReadEntry>& read_set() { return read_set_; }
@@ -329,26 +344,40 @@ class Txn {
   // validations of scanned records); bounded like `conflicts`.
   std::vector<ScanSetConflict> scan_set_conflicts;
 
-  // ---- Stash poisoning (split-phase blocking, §5.2) ----
-  // A transaction that touches split data incompatibly is doomed: it will be stashed and
-  // restarted in the next joined phase. Doomed execution continues without side effects —
-  // reads return nullopt, writes are dropped — instead of unwinding via an exception;
-  // with tens of thousands of stashes per second the unwinder (which serializes across
-  // threads) would otherwise dominate split-phase cost.
-  void MarkStash(Record* r, OpCode op) {
-    if (!stash_doomed_) {
-      stash_doomed_ = true;
-      stash_record_ = r;
-      stash_op_ = op;
+  // ---- The doom slot: the one way an attempt ends early (§4, §5.2) ----
+  // An access that cannot proceed dooms the attempt instead of unwinding it: a stash
+  // (split data in a split phase), a conflict (2PL lock timeout, OCC read of a reclaimed
+  // record), a type mismatch, or UserAbort. The first doom wins. Every accessor checks
+  // doomed() before it routes, so later reads return nullopt, writes are dropped and
+  // scans stop; the runner then acts on doom_reason(). Nothing is thrown: the exception
+  // unwinder serializes threads, and stashes run at tens of thousands per second. A
+  // conflict doom also fills conflict_record/conflict_op for the classifier.
+  void Doom(TxnStatus reason, Record* r = nullptr, OpCode op = OpCode::kGet) {
+    if (doomed()) {
+      return;
+    }
+    doom_ = reason;
+    doom_record_ = r;
+    doom_op_ = op;
+    if (reason == TxnStatus::kConflict) {
+      conflict_record = r;
+      conflict_op = op;
     }
   }
-  bool stash_doomed() const { return stash_doomed_; }
-  Record* stash_record() const { return stash_record_; }
-  OpCode stash_op() const { return stash_op_; }
+  bool doomed() const { return doom_ != TxnStatus::kCommitted; }
+  // kCommitted while the attempt is not doomed.
+  TxnStatus doom_reason() const { return doom_; }
+  Record* doom_record() const { return doom_record_; }
+  OpCode doom_op() const { return doom_op_; }
+  // True only for a stash doom.
+  bool stash_doomed() const { return doom_ == TxnStatus::kStashed; }
 
  private:
   void IssueWrite(const Key& key, OpCode op, std::int64_t n, const OrderKey& order,
                   std::string_view payload, std::size_t topk_k);
+  // Routes and reads `key` into `res` with own writes overlaid; false when the key is
+  // absent or the attempt is (or becomes) doomed.
+  bool ReadKey(const Key& key, RecordType type, std::size_t topk_k, ReadResult* res);
 
   // Own-write index machinery (see BufferWrite). The open-addressing table maps
   // Record* -> chain head/tail indices; it is built lazily once the write set passes
@@ -392,9 +421,9 @@ class Txn {
   // Survives Reset by design (see CachedRoute); generation bump is the only eviction.
   RouteCacheEntry route_cache_[kRouteCacheSlots];
   std::uint64_t route_cache_gen_ = 1;
-  bool stash_doomed_ = false;
-  Record* stash_record_ = nullptr;
-  OpCode stash_op_ = OpCode::kGet;
+  TxnStatus doom_ = TxnStatus::kCommitted;
+  Record* doom_record_ = nullptr;
+  OpCode doom_op_ = OpCode::kGet;
 };
 
 }  // namespace doppel

@@ -28,9 +28,7 @@ struct SubmitTicket {
   // Set iff the submission used the std::function convenience path; POD submissions
   // carry their proc in PendingTxn::req instead.
   std::function<void(Txn&)> fn;
-  // 0 = pending, 1 = committed, 2 = user-aborted, 3 = type-mismatch abort (terminal,
-  // never retried: the key exists with a different record type), 4 = durability-lost
-  // abort (terminal: the database is in read-only degraded mode).
+  // 0 = pending; otherwise the terminal TxnAbort code + 1 (1 = committed).
   std::atomic<int> state{0};
   std::atomic<std::uint32_t> attempts{0};
   // Database's drain counter: decremented (release) once the ticket is fully finished,
@@ -44,17 +42,19 @@ struct SubmitTicket {
   // Held under cb_mu until `finished`; the completing side moves it out.
   std::function<void(const TxnResult&)> callback GUARDED_BY(cb_mu);
 
+  // Publishes the terminal outcome and wakes Wait()-ers. `attempts` must already be
+  // stored: it rides on this release-store.
+  void Finish(TxnAbort abort) {
+    state.store(static_cast<int>(abort) + 1, std::memory_order_release);
+    state.notify_all();
+  }
+
+  // Valid once `state` is nonzero (terminal); the acquire-load of `state` orders the
+  // relaxed `attempts` read after Finish's release-store.
   TxnResult result() const {
-    const int s = state.load(std::memory_order_acquire);
-    TxnResult r{s == 1, attempts.load(std::memory_order_relaxed)};
-    if (s == 2) {
-      r.abort = TxnAbort::kUser;
-    } else if (s == 3) {
-      r.abort = TxnAbort::kTypeMismatch;
-    } else if (s == 4) {
-      r.abort = TxnAbort::kDurabilityLost;
-    }
-    return r;
+    const auto abort = static_cast<TxnAbort>(state.load(std::memory_order_acquire) - 1);
+    return TxnResult{abort == TxnAbort::kNone, attempts.load(std::memory_order_relaxed),
+                     abort};
   }
 };
 

@@ -70,7 +70,7 @@ class ClassifierDynamicsTest : public ::testing::Test {
       w_->txn.Reset(engine_.get(), w_);
       (void)w_->txn.GetInt(key);
       ASSERT_TRUE(w_->txn.stash_doomed());
-      engine_->OnStash(*w_, StashSignal{w_->txn.stash_record(), OpCode::kGet});
+      engine_->OnStash(*w_, StashSignal{w_->txn.doom_record(), OpCode::kGet});
       engine_->Abort(*w_, w_->txn);
     }
 

@@ -294,7 +294,8 @@ TEST_F(ScanEngineTest, OccUpdateOfScannedRecordAbortsScanner) {
 }
 
 // 2PL: a scanner holds the partition's shared lock until commit, so a concurrent insert
-// into the scanned stripe times out and aborts (ConflictSignal) instead of committing.
+// into the scanned stripe times out and dooms its attempt (a conflict) instead of
+// committing.
 TEST_F(ScanEngineTest, TwoPLScanBlocksPhantomInsert) {
   UseTwoPL();
   PopulateRows();

@@ -54,23 +54,10 @@ class EngineHarness {
   TxnStatus TryOnce(Worker& w, const std::function<void(Txn&)>& body) {
     Txn& txn = w.txn;
     txn.Reset(engine.get(), &w);
-    try {
-      body(txn);
-    } catch (const ConflictSignal& c) {
+    body(txn);
+    if (txn.doomed()) {
       engine->Abort(w, txn);
-      txn.conflict_record = c.record;
-      txn.conflict_op = c.op;
-      return TxnStatus::kConflict;
-    } catch (const StashSignal&) {
-      engine->Abort(w, txn);
-      return TxnStatus::kStashed;
-    } catch (const UserAbortSignal&) {
-      engine->Abort(w, txn);
-      return TxnStatus::kUserAbort;
-    }
-    if (txn.stash_doomed()) {
-      engine->Abort(w, txn);
-      return TxnStatus::kStashed;
+      return txn.doom_reason();
     }
     return engine->Commit(w, txn);
   }

@@ -3,7 +3,8 @@
 // writes inside the issuing transaction, and composes with reinsertion. Also the
 // type-mismatch regression: an op whose required record type conflicts with the key's
 // existing record aborts that transaction (TxnAbort::kTypeMismatch) instead of killing
-// the process, and the database keeps committing afterwards.
+// the process, and the database keeps committing afterwards. Last, what a body does
+// after it is doomed (UserAbort, a type mismatch) is discarded on every engine.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -153,6 +154,108 @@ TEST_P(DeleteSemanticsTest, DeleteFreesTheKeyForADifferentType) {
   EXPECT_TRUE(db.Execute([&](Txn& txn) { v = txn.GetInt(K(4)); }).committed);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 12);
+  db.Stop();
+}
+
+// Execution continues after a doom (UserAbort, a type mismatch): everything the body
+// does afterwards is discarded, and the first doom decides the result code.
+TEST_P(DeleteSemanticsTest, AccessesAfterUserAbortHaveNoEffect) {
+  Database db(BaseOptions(GetParam()));
+  db.store().LoadInt(K(3), 7);
+  db.store().LoadInt(K(12), 30);
+  db.Start();
+
+  std::optional<std::int64_t> read_after = 0;
+  std::size_t scanned_after = 1;
+  const TxnResult r = db.Execute([&](Txn& txn) {
+    txn.UserAbort();
+    txn.PutInt(K(11), 5);
+    txn.Add(K(12), 1);
+    txn.Delete(K(3));
+    read_after = txn.GetInt(K(12));
+    scanned_after = txn.Scan(kTable, 0, 20, 0, [](const Key&, const ReadResult&) {
+      return true;
+    });
+    txn.PutBytes(K(3), "type mismatch after the abort");
+  });
+  EXPECT_FALSE(r.committed);
+  EXPECT_EQ(r.abort, TxnAbort::kUser);
+  EXPECT_FALSE(read_after.has_value()) << "read after UserAbort returned a value";
+  EXPECT_EQ(scanned_after, 0u);
+
+  std::optional<std::int64_t> k3;
+  std::optional<std::int64_t> k11 = 0;
+  std::optional<std::int64_t> k12;
+  EXPECT_TRUE(db.Execute([&](Txn& txn) {
+                  k3 = txn.GetInt(K(3));
+                  k11 = txn.GetInt(K(11));
+                  k12 = txn.GetInt(K(12));
+                }).committed);
+  EXPECT_EQ(k3, std::optional<std::int64_t>(7));
+  EXPECT_FALSE(k11.has_value()) << "write after UserAbort was applied";
+  EXPECT_EQ(k12, std::optional<std::int64_t>(30));
+  db.Stop();
+  EXPECT_EQ(db.CollectStats().type_mismatch_aborts, 0u);
+}
+
+TEST_P(DeleteSemanticsTest, AccessesAfterTypeMismatchHaveNoEffect) {
+  Database db(BaseOptions(GetParam()));
+  db.store().LoadInt(K(3), 7);
+  db.store().LoadInt(K(12), 30);
+  db.Start();
+
+  std::optional<std::int64_t> read_after = 0;
+  const TxnResult r = db.Execute([&](Txn& txn) {
+    txn.PutBytes(K(3), "oops");
+    txn.PutInt(K(11), 5);
+    txn.Add(K(12), 1);
+    read_after = txn.GetInt(K(12));
+    txn.UserAbort();
+  });
+  EXPECT_FALSE(r.committed);
+  EXPECT_EQ(r.abort, TxnAbort::kTypeMismatch);
+  EXPECT_FALSE(read_after.has_value()) << "read after a type mismatch returned a value";
+
+  std::optional<std::int64_t> k11 = 0;
+  std::optional<std::int64_t> k12;
+  EXPECT_TRUE(db.Execute([&](Txn& txn) {
+                  k11 = txn.GetInt(K(11));
+                  k12 = txn.GetInt(K(12));
+                }).committed);
+  EXPECT_FALSE(k11.has_value()) << "write after a type mismatch was applied";
+  EXPECT_EQ(k12, std::optional<std::int64_t>(30));
+  db.Stop();
+  const Database::Stats stats = db.CollectStats();
+  EXPECT_EQ(stats.type_mismatch_aborts, 1u);
+  EXPECT_EQ(stats.user_aborts, 0u);
+}
+
+TEST_P(DeleteSemanticsTest, UserAbortInScanCallbackStopsTheScan) {
+  Database db(BaseOptions(GetParam()));
+  for (std::uint64_t i = 1; i < 10; ++i) {
+    db.store().LoadInt(K(i), static_cast<std::int64_t>(i));
+  }
+  db.Start();
+
+  // Without and with an own pending insert (K(0)), which the scan merges into the
+  // engine's rows and visits first.
+  for (const bool own_insert : {false, true}) {
+    int calls = 0;
+    const TxnResult r = db.Execute([&](Txn& txn) {
+      calls = 0;
+      if (own_insert) {
+        txn.PutInt(K(0), 100);
+      }
+      txn.Scan(kTable, 0, 9, 0, [&](const Key&, const ReadResult&) {
+        ++calls;
+        txn.UserAbort();
+        return true;  // keep going: the doom alone must stop the scan
+      });
+    });
+    EXPECT_FALSE(r.committed) << "own_insert=" << own_insert;
+    EXPECT_EQ(r.abort, TxnAbort::kUser) << "own_insert=" << own_insert;
+    EXPECT_EQ(calls, 1) << "own_insert=" << own_insert;
+  }
   db.Stop();
 }
 

@@ -2,6 +2,8 @@
 // and exactness under concurrency.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/common/barrier.h"
 #include "src/txn/twopl_engine.h"
 #include "tests/test_util.h"
@@ -83,6 +85,46 @@ TEST_F(TwoPLTest, ConflictTimeoutWhenLockHeld) {
   r->rw.unlock();
   EXPECT_EQ(h_.TryOnce(w0(), [](Txn& t) { t.Add(Key::FromU64(1), 1); }),
             TxnStatus::kCommitted);
+}
+
+TEST_F(TwoPLTest, AccessesAfterLockTimeoutTakeNoLocks) {
+  // A lock timeout dooms the attempt instead of unwinding it; the body keeps running,
+  // but nothing it does afterwards may take a lock or buffer a write.
+  Recreate(TwoPLEngine::Limits{.shared_spin = 200, .exclusive_spin = 200,
+                               .upgrade_spin = 200});
+  h_.store.LoadInt(Key::FromU64(1), 0);
+  h_.store.LoadInt(Key::FromU64(2), 0);
+  Record* held = h_.store.Find(Key::FromU64(1));
+  Record* other = h_.store.Find(Key::FromU64(2));
+  held->rw.lock();  // simulate another transaction holding the write lock
+
+  std::size_t locks_at_timeout = 99;
+  std::size_t locks_at_end = 99;
+  std::optional<std::int64_t> later_read = 0;
+  auto body = [&](Txn& t) {
+    t.Add(Key::FromU64(1), 1);
+    locks_at_timeout = t.locks().size();
+    later_read = t.GetInt(Key::FromU64(2));
+    t.PutInt(Key::FromU64(2), 5);
+    t.Scan(0, 0, 10, 0, [](const Key&, const ReadResult&) { return true; });
+    locks_at_end = t.locks().size();
+  };
+  EXPECT_EQ(h_.TryOnce(w0(), body), TxnStatus::kConflict);
+  EXPECT_EQ(locks_at_timeout, 0u);
+  EXPECT_EQ(locks_at_end, 0u) << "an access after the timeout took a lock";
+  EXPECT_TRUE(w0().txn.index_locks().empty());
+  EXPECT_TRUE(w0().txn.write_set().empty());
+  EXPECT_FALSE(later_read.has_value());
+  EXPECT_EQ(w0().txn.conflict_record, held);
+  EXPECT_EQ(w0().txn.conflict_op, OpCode::kAdd);
+  EXPECT_FALSE(other->rw.has_writer());
+  EXPECT_EQ(other->rw.reader_count(), 0u);
+
+  held->rw.unlock();
+  EXPECT_EQ(h_.TryOnce(w0(), body), TxnStatus::kCommitted);
+  EXPECT_EQ(later_read, std::optional<std::int64_t>(0));
+  EXPECT_EQ(IntAt(h_.store, Key::FromU64(1)), 1);
+  EXPECT_EQ(IntAt(h_.store, Key::FromU64(2)), 5);
 }
 
 TEST_F(TwoPLTest, DeadlockRecoversByTimeout) {

@@ -18,6 +18,13 @@ Checked over every .h/.cc under src/ (run as a gating CI step and a ctest):
      Relaxed atomics are exactly where the compiler and TSan are both blind;
      the invariant that makes the ordering sufficient must be written down.
 
+  D. No `try`, `throw` or `catch` in code (comments and string literals are
+     ignored). A transaction attempt that cannot proceed ends through one
+     path: the Txn's doom slot (Txn::Doom), which the runner reads after the
+     body returns. A thrown signal would add a second abort path, and the
+     exception unwinder serializes threads, so one throw per stash or lock
+     timeout costs more than a whole commit under contention.
+
 Exit status 0 when clean; 1 with findings (one per line: path:line: rule: message).
 Run with --self-test to check the rules against known-good/known-bad fixtures.
 """
@@ -38,6 +45,9 @@ MIN_COMMENT_CHARS = 12
 RELAXED_WINDOW = 5
 RELAXED_CHAIN_CAP = 40  # hard cap on the upward walk, chains included
 
+EXCEPTION_RE = re.compile(r"\b(try|throw|catch)\b")
+# String and character literals, blanked before rule D looks for keywords.
+LITERAL_RE = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])*\'')
 NAKED_MUTEX_RE = re.compile(
     r"\bstd::(mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|"
     r"shared_mutex|shared_timed_mutex)\b"
@@ -131,7 +141,21 @@ def check_relaxed_comments(relpath, lines):
     return findings
 
 
-CHECKS = [check_escape_hatches, check_naked_mutexes, check_relaxed_comments]
+def check_exceptions(relpath, lines):
+    """Rule D: no exception keywords; attempts end through the doom slot."""
+    findings = []
+    for i, line in enumerate(lines):
+        m = EXCEPTION_RE.search(strip_comment(LITERAL_RE.sub('""', line)))
+        if m:
+            findings.append(
+                (relpath, i + 1, "exception",
+                 f"`{m.group(1)}` in src/: end a transaction attempt through "
+                 "Txn::Doom, not an exception"))
+    return findings
+
+
+CHECKS = [check_escape_hatches, check_naked_mutexes, check_relaxed_comments,
+          check_exceptions]
 
 
 def lint_text(relpath, text):
@@ -224,6 +248,24 @@ int e;
 int f;
 n_.store(1, std::memory_order_relaxed);
 """, {"relaxed-no-invariant"}),
+    ("bad_throw_signal", """\
+void Txn::UserAbort() { throw UserAbortSignal{}; }
+""", {"exception"}),
+    ("bad_try_catch", """\
+try {
+  body(txn);
+} catch (const StashSignal& s) {
+  engine.OnStash(w, s);
+}
+""", {"exception"}),
+    ("good_doom_slot", """\
+// A lock timeout used to throw; now the helper dooms the attempt (no try/catch).
+if (!r->rw.try_lock_for(limits_.exclusive_spin)) {
+  txn.Doom(TxnStatus::kConflict, r, op);
+  Log("try again: throw nothing");
+  return false;
+}
+""", set()),
 ]
 
 
