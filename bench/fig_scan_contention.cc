@@ -12,7 +12,7 @@
 // whose ids all sit far below 2^40. Under the fixed default layout (shift 40) the whole
 // table serializes on one partition stripe; a tuned per-table PartitionConfig gives each
 // worker's id range its own stripe; the adaptive layout starts at the bad default and
-// lets the Doppel coordinator narrow the boundaries from the observed telemetry.
+// lets the coordinator narrow the boundaries from the observed telemetry.
 #include <memory>
 
 #include "bench/bench_common.h"

@@ -5,22 +5,13 @@
 #ifndef DOPPEL_SRC_COMMON_DASSERT_H_
 #define DOPPEL_SRC_COMMON_DASSERT_H_
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace doppel {
 
 [[noreturn]] inline void CheckFailed(const char* expr, const char* file, int line) {
   std::fprintf(stderr, "CHECK failed: %s at %s:%d\n", expr, file, line);
-  std::abort();
-}
-
-[[noreturn]] inline void PCheckFailed(const char* expr, const char* file, int line,
-                                      int err) {
-  std::fprintf(stderr, "PCHECK failed: %s at %s:%d (errno %d: %s)\n", expr, file, line,
-               err, std::strerror(err));
   std::abort();
 }
 
@@ -31,15 +22,6 @@ namespace doppel {
     if (__builtin_expect(!(expr), 0)) {                    \
       ::doppel::CheckFailed(#expr, __FILE__, __LINE__);    \
     }                                                      \
-  } while (0)
-
-// CHECK for syscall results: captures errno at the failure site and prints it with
-// strerror, instead of discarding the one fact that explains the failure.
-#define DOPPEL_PCHECK(expr)                                        \
-  do {                                                             \
-    if (__builtin_expect(!(expr), 0)) {                            \
-      ::doppel::PCheckFailed(#expr, __FILE__, __LINE__, errno);    \
-    }                                                              \
   } while (0)
 
 #ifndef NDEBUG

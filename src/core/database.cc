@@ -72,7 +72,6 @@ Database::Database(Options opts) : opts_(opts), store_(opts.store_capacity) {
                  opts_.num_workers, kMaxWorkers, Worker::kWorkerTidBits);
     std::abort();
   }
-  worker_batch_ = std::min(std::max(opts_.worker_batch, 1), kMaxWorkerBatch);
   runner_cfg_.backoff_min_ns = opts_.backoff_min_us * 1000;
   runner_cfg_.backoff_max_ns = opts_.backoff_max_us * 1000;
   if (opts_.wal_dir != nullptr && opts_.wal_dir[0] != '\0') {
@@ -97,16 +96,14 @@ Database::Database(Options opts) : opts_(opts), store_(opts.store_capacity) {
     inboxes_.push_back(std::make_unique<SubmitInbox>(opts_.submit_inbox_capacity));
   }
 
+  barrier_ = std::make_unique<QuiesceBarrier>(opts_.num_workers, stop_workers_);
+
   switch (opts_.protocol) {
     case Protocol::kDoppel: {
-      auto engine = std::make_unique<DoppelEngine>(store_, opts_, stop_workers_);
+      auto engine = std::make_unique<DoppelEngine>(store_, opts_);
       doppel_ = engine.get();
       doppel_->RegisterWorkers(workers_);
-      doppel_->SetWal(wal_.get());
-      doppel_->SetDegradedFlag(&degraded_);
       engine_ = std::move(engine);
-      coordinator_ = std::make_unique<Coordinator>(*doppel_, opts_, stop_coord_,
-                                                   stop_workers_, draining_);
       break;
     }
     case Protocol::kOcc:
@@ -119,6 +116,7 @@ Database::Database(Options opts) : opts_(opts), store_(opts.store_capacity) {
       engine_ = std::make_unique<AtomicEngine>(store_);
       break;
   }
+  coordinator_ = std::make_unique<Coordinator>(*this);
   // Epoch reclamation rides the worker loop of every locking protocol. The Atomic
   // engine is excluded: its writers flip presence without any lock, so the sweeper's
   // try-lock proof of quiescence does not hold there.
@@ -141,7 +139,7 @@ void Database::Start(SourceFactory factory) {
   started_ = true;
   if (wal_ != nullptr) {
     if (opts_.recover_on_start) {
-      recovery_ = wal_->Recover(&store_, opts_.recovery_threads);
+      recovery_ = wal_->Recover(&store_);
       // Seed TID clocks past everything recovered: a fresh worker would otherwise mint
       // TIDs below already-logged ones, corrupting the replay order of the next log
       // generation (non-commutative redo entries sort by TID).
@@ -157,18 +155,21 @@ void Database::Start(SourceFactory factory) {
     wal_->StartLogging();
   }
   sources_.clear();
-  for (int i = 0; i < opts_.num_workers; ++i) {
-    sources_.push_back(factory ? factory(i) : nullptr);
-  }
+  sources_.resize(static_cast<std::size_t>(opts_.num_workers));
   accepting_.store(true);
-  for (int i = 0; i < opts_.num_workers; ++i) {
-    Worker* w = workers_[static_cast<std::size_t>(i)].get();
-    TxnSource* src = sources_[static_cast<std::size_t>(i)].get();
-    threads_.emplace_back([this, w, src] { WorkerMain(*w, src); });
+  for (auto& w : workers_) {
+    // Each worker builds its own source: the client state it writes on every
+    // transaction then comes from its own thread's allocator, instead of possibly
+    // sharing a cache line with another worker's source on the heap.
+    threads_.emplace_back([this, w = w.get(), factory] {
+      std::unique_ptr<TxnSource>& source = sources_[static_cast<std::size_t>(w->id)];
+      if (factory) {
+        source = factory(w->id);
+      }
+      WorkerMain(*w, source.get());
+    });
   }
-  if (coordinator_ != nullptr) {
-    threads_.emplace_back([this] { coordinator_->Run(); });
-  }
+  threads_.emplace_back([this] { coordinator_->Run(); });
 }
 
 void Database::Stop() {
@@ -204,9 +205,6 @@ void Database::Stop() {
   // Phase 2: coordinator next. It finishes any split phase (reconciling all slices) and
   // then releases the workers.
   stop_coord_.store(true, std::memory_order_release);
-  if (coordinator_ == nullptr) {
-    stop_workers_.store(true, std::memory_order_release);
-  }
   for (std::thread& t : threads_) {
     t.join();
   }
@@ -248,26 +246,30 @@ void Database::Stop() {
     // the primary's final state instead of stalling just short of it at the last
     // barrier cut. A clean Stop therefore never loses acknowledged work to the
     // group-commit window either.
-    std::uint64_t max_tid = 0;
-    for (const auto& w : workers_) {
-      max_tid = std::max(max_tid, w->last_tid);
-    }
-    wal_->AppendCut(max_tid);
+    wal_->AppendCut(MaxCommittedTid());
   }
 }
 
+std::uint64_t Database::MaxCommittedTid() const {
+  std::uint64_t max_tid = 0;
+  for (const auto& w : workers_) {
+    max_tid = std::max(max_tid, w->last_tid);
+  }
+  return max_tid;
+}
+
 bool Database::RequestCheckpoint() {
-  if (wal_ == nullptr || doppel_ == nullptr) {
+  if (wal_ == nullptr) {
     return false;
   }
-  doppel_->RequestCheckpoint();
+  coordinator_->RequestCheckpoint();
   return true;
 }
 
 std::size_t Database::TryRunSubmitted(Worker& w) {
-  PendingTxn batch[kMaxWorkerBatch];
-  const std::size_t n = inboxes_[static_cast<std::size_t>(w.id)]->TryPopBatch(
-      batch, static_cast<std::size_t>(worker_batch_));
+  PendingTxn batch[kWorkerBatch];
+  const std::size_t n =
+      inboxes_[static_cast<std::size_t>(w.id)]->TryPopBatch(batch, kWorkerBatch);
   for (std::size_t i = 0; i < n; ++i) {
     RunPendingTxn(*engine_, runner_cfg_, w, std::move(batch[i]));
   }
@@ -278,14 +280,13 @@ void Database::WorkerMain(Worker& w, TxnSource* source) {
   if (opts_.pin_threads) {
     PinThreadToCpu(w.id);
   }
-  // The hot loop is batched: each pass pays the fixed costs — BetweenTxns (phase
-  // acknowledgement), one clock read, the retry/stash/inbox checks — once, then runs up
-  // to worker_batch_ transactions back to back. A batch lasts microseconds, so phase
-  // changes (ms-scale) are acknowledged promptly; within a pass the priority order
-  // (due retries, stashed, submitted, source-generated) is unchanged.
-  const int batch = worker_batch_;
+  // The hot loop is batched: each pass pays the fixed costs — the barrier check, one
+  // clock read, the retry/stash/inbox checks — once, then runs up to kWorkerBatch
+  // transactions back to back. A batch lasts microseconds, so barriers (ms-scale) are
+  // acknowledged promptly; within a pass the priority order (due retries, stashed,
+  // submitted, source-generated) is unchanged.
   while (!stop_workers_.load(std::memory_order_relaxed)) {
-    engine_->BetweenTxns(w);
+    barrier_->Acknowledge(w, doppel_, runner_cfg_);
     if (reclaimer_ != nullptr) {
       // Transaction boundary: this worker holds no record pointers, the moment the
       // epoch protocol counts. Worker 0's tick additionally drives sweep/free steps.
@@ -305,7 +306,7 @@ void Database::WorkerMain(Worker& w, TxnSource* source) {
     const std::uint64_t now = NowNanos();
     w.clock_ns = now;
     bool ran = false;
-    for (int i = 0; i < batch && w.HasDueRetry(w.clock_ns); ++i) {
+    for (int i = 0; i < kWorkerBatch && w.HasDueRetry(w.clock_ns); ++i) {
       std::pop_heap(w.retry_heap.begin(), w.retry_heap.end());
       PendingTxn pt = std::move(w.retry_heap.back().txn);
       w.retry_heap.pop_back();
@@ -316,7 +317,7 @@ void Database::WorkerMain(Worker& w, TxnSource* source) {
       continue;
     }
     for (int i = 0;
-         i < batch && !w.stash.empty() && engine_->CurrentPhase(w) == Phase::kJoined;
+         i < kWorkerBatch && !w.stash.empty() && w.LoadPhase() == Phase::kJoined;
          ++i) {
       PendingTxn pt = std::move(w.stash.front());
       w.stash.pop_front();
@@ -330,7 +331,7 @@ void Database::WorkerMain(Worker& w, TxnSource* source) {
       continue;
     }
     if (source != nullptr) {
-      for (int i = 0; i < batch; ++i) {
+      for (int i = 0; i < kWorkerBatch; ++i) {
         TxnRequest req = source->Next(w);
         // Stamp from the worker's clock cache: refreshed at the pass boundary above and
         // by each commit's latency read, so the stamp is the previous transaction's end

@@ -46,6 +46,7 @@
 #include "src/core/doppel_engine.h"
 #include "src/core/inbox.h"
 #include "src/core/options.h"
+#include "src/core/quiesce.h"
 #include "src/core/runner.h"
 #include "src/persist/wal.h"
 #include "src/store/epoch.h"
@@ -118,18 +119,20 @@ class Database {
   // Non-null iff options().protocol == kDoppel.
   DoppelEngine* doppel() { return doppel_; }
   const Coordinator* coordinator() const { return coordinator_.get(); }
+  const QuiesceBarrier& barrier() const { return *barrier_; }
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
   // Manual data labeling (§5.5); Doppel only. Call before Start.
   void MarkSplitManually(const Key& key, OpCode op,
                          std::size_t topk_k = TopKSet::kDefaultK);
 
-  // Spawns worker threads (and, for Doppel, the coordinator). `factory`, if provided,
-  // creates one TxnSource per worker for closed-loop generation.
+  // Spawns worker threads and the coordinator. `factory`, if provided, creates one
+  // TxnSource per worker for closed-loop generation; each worker calls it on its own
+  // thread, so it must be safe to call concurrently.
   //
   // When Options::wal_dir is set, Start first runs recovery: the directory's latest
   // checkpoint is loaded, live log segments are replayed in commit-TID order (work
-  // partitioned by key stripe across Options::recovery_threads), ordered-index
+  // partitioned by key stripe across up to four threads), ordered-index
   // partitions are rebuilt, and every worker's TID clock is seeded past the maximum
   // recovered TID — only then does logging resume on a fresh segment and do workers
   // spawn. Call pre-population loaders before Start: recovery overwrites any record the
@@ -205,17 +208,21 @@ class Database {
   // What Start()'s recovery pass restored (all-zero when no wal_dir / recovery ran).
   const RecoveryResult& recovery() const { return recovery_; }
 
-  // Asks the Doppel coordinator to take a consistent checkpoint at its next quiesce
-  // barrier (in addition to any Options::checkpoint_interval_us cadence). Returns false
-  // when there is nothing to checkpoint with (no WAL, or a protocol without the
-  // coordinator's quiesce barriers — OCC/2PL recover by full log replay instead).
+  // Asks the coordinator to take a consistent checkpoint at its next joined quiesce
+  // barrier (in addition to any Options::checkpoint_interval_us cadence), under every
+  // protocol. Returns false when there is nothing to checkpoint with (no WAL).
   bool RequestCheckpoint();
 
  private:
+  friend class Coordinator;
+
   void WorkerMain(Worker& w, TxnSource* source);
-  // Pops up to Options::worker_batch submissions from the worker's inbox in one cursor
-  // pass and runs them back to back; returns how many ran.
+  // Pops up to kWorkerBatch submissions from the worker's inbox in one cursor pass and
+  // runs them back to back; returns how many ran.
   std::size_t TryRunSubmitted(Worker& w);
+  // Highest TID any worker committed. Only exact while the workers are parked at a
+  // barrier (the coordinator's cuts) or joined (Stop).
+  std::uint64_t MaxCommittedTid() const;
   // Stamps submit_ns, charges the drain counter, and pushes onto the inbox at
   // `start_inbox` (trying the others too when `failover` is set — batch submission
   // disables failover to keep per-inbox FIFO order under backpressure). On
@@ -225,11 +232,14 @@ class Database {
   TxnHandle SubmitPendingBlocking(PendingTxn&& pt, std::uint32_t start_inbox,
                                   bool failover);
 
-  // Hard cap on Options::worker_batch (bounds the TryRunSubmitted stack array).
-  static constexpr int kMaxWorkerBatch = 64;
+  // Transactions a worker runs per hot-loop pass before re-checking the barrier and
+  // re-reading the clock: inbox pops are batched and the per-transaction fixed costs
+  // (barrier check, retry-heap due check, timestamp reads) amortize across the batch.
+  // Batches are executed back to back in microseconds, so barrier acknowledgement
+  // latency stays far below any sane phase_us.
+  static constexpr int kWorkerBatch = 16;
 
   Options opts_;
-  int worker_batch_ = 16;  // opts_.worker_batch clamped to [1, kMaxWorkerBatch]
   Store store_;
   std::unique_ptr<EpochReclaimer> reclaimer_;  // null: reclamation off (Atomic, opt-out)
   std::unique_ptr<WriteAheadLog> wal_;
@@ -241,6 +251,7 @@ class Database {
   DoppelEngine* doppel_ = nullptr;  // borrowed view of engine_ when protocol is Doppel
   RunnerConfig runner_cfg_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  std::unique_ptr<QuiesceBarrier> barrier_;  // acknowledged by every worker loop
   std::vector<std::unique_ptr<TxnSource>> sources_;
   std::unique_ptr<Coordinator> coordinator_;
   std::vector<std::thread> threads_;

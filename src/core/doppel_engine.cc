@@ -1,14 +1,29 @@
 #include "src/core/doppel_engine.h"
 
 #include <algorithm>
-#include <bit>
-#include <thread>
 #include <utility>
 
 #include "src/common/dassert.h"
-#include "src/common/timing.h"
 
 namespace doppel {
+namespace {
+
+// Classifier scan-window signal: a partition's sampled scan conflicts over one joined
+// phase must reach this floor before the classifier acts on it, and one interior
+// record must pin at least this share of them (the sampler's majority vote) to become
+// a split candidate on its winning writers' operation — even if its own record-level
+// conflicts are all reads (scanners losing validation charge kGet, which
+// min_splittable_fraction would otherwise refuse forever).
+constexpr std::uint64_t kMinScanConflicts = 8;
+constexpr double kScanVoteFraction = 0.5;
+
+// Split-phase feedback (§5.4): hurry the next joined phase once this many stashes
+// accumulated, or once stashes exceed this share of split-phase transactions (they
+// are deferred work that only the next joined phase can retire).
+constexpr std::uint64_t kStashHardLimit = std::uint64_t{1} << 16;
+constexpr double kHurryStashFraction = 0.3;
+
+}  // namespace
 
 const char* ProtocolName(Protocol p) {
   switch (p) {
@@ -24,12 +39,8 @@ const char* ProtocolName(Protocol p) {
   return "?";
 }
 
-DoppelEngine::DoppelEngine(Store& store, const Options& opts,
-                           const std::atomic<bool>& stop)
-    : OccEngine(store), opts_(opts), stop_(stop) {
-  runner_cfg_.backoff_min_ns = opts.backoff_min_us * 1000;
-  runner_cfg_.backoff_max_ns = opts.backoff_max_us * 1000;
-}
+DoppelEngine::DoppelEngine(Store& store, const Options& opts)
+    : OccEngine(store), opts_(opts) {}
 
 void DoppelEngine::RegisterWorkers(const std::vector<std::unique_ptr<Worker>>& workers) {
   workers_.clear();
@@ -123,49 +134,7 @@ void DoppelEngine::OnStash(Worker& w, const StashSignal& s) {
   stash_pressure_.fetch_add(1, std::memory_order_relaxed);
 }
 
-// ---- Worker-side phase transitions (§5.4) ---------------------------------------------
-
-void DoppelEngine::BetweenTxns(Worker& w) { MaybeTransition(w); }
-
-void DoppelEngine::MaybeTransition(Worker& w) {
-  const std::uint64_t pend = ctrl_.pending();
-  if (pend == w.seen_word) {
-    return;
-  }
-  const Phase target = PhaseController::DecodePhase(pend);
-  if (w.LoadPhase() == Phase::kSplit) {
-    // Leaving the split phase: reconcile this core's slices into the global store.
-    MergeWorkerSlices(w);
-  }
-  if (target == Phase::kSplit) {
-    // "our workers delay acknowledging a split phase until they have committed or
-    // aborted all previously-stashed transactions."
-    DrainStash(w);
-  }
-  w.acked_word.store(pend, std::memory_order_release);
-  // Yield while waiting for the release: the coordinator needs a core to collect acks and
-  // run the barrier work, and on machines with as many workers as cores a pure spin here
-  // would make every phase change cost scheduler timeslices instead of microseconds.
-  std::uint32_t spins = 0;
-  while (ctrl_.released() != pend) {
-    if (stop_.load(std::memory_order_relaxed)) {
-      return;
-    }
-    HelpCheckpointCapture();
-    if (++spins < 64) {
-      CpuRelax();
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  if (target == Phase::kSplit) {
-    PrepareSlices(w);
-  }
-  // Worker-local phase mirror: only this worker reads it for decisions; cross-thread
-  // observers (stats) tolerate staleness. The barrier ack provides real ordering.
-  w.phase.store(target, std::memory_order_relaxed);
-  w.seen_word = pend;
-}
+// ---- Barrier hooks (§5.4) -------------------------------------------------------------
 
 void DoppelEngine::MergeWorkerSlices(Worker& w) {
   SplitPlan* plan = plan_.get();
@@ -189,23 +158,13 @@ void DoppelEngine::MergeWorkerSlices(Worker& w) {
       const std::uint64_t tid = w.GenerateTid(Record::TidOf(e.record->LoadTidWord()));
       MergeSliceToGlobal(e.record, e.op, s, tid, &store_.index());
     }
-    // Consume the slice so the merge is idempotent. MaybeTransition can re-enter after
-    // its early stop_ return (which acks but leaves seen_word stale); without this, the
+    // Consume the slice so the merge is idempotent. A transition can re-enter after its
+    // early stop return (which acks but leaves the seen word stale); without this, the
     // re-entered transition re-merged the same accumulator and double-applied
     // kAdd/kMult deltas (and double-counted the write/stash samples) at shutdown.
     s.dirty = false;
     s.writes = 0;
     s.stashes = 0;
-  }
-}
-
-void DoppelEngine::DrainStash(Worker& w) {
-  // Relaxed stop poll: reacting an iteration late is harmless.
-  while (!w.stash.empty() && !stop_.load(std::memory_order_relaxed)) {
-    PendingTxn pt = std::move(w.stash.front());
-    w.stash.pop_front();
-    // Still in the joined phase (we have not acked yet), so this cannot re-stash.
-    RunPendingTxn(*this, runner_cfg_, w, std::move(pt));
   }
 }
 
@@ -247,24 +206,6 @@ bool DoppelEngine::HasSplitCandidates() const {
     }
   }
   return false;
-}
-
-void DoppelEngine::WaitForWorkerAcks() const {
-  const std::uint64_t pend = ctrl_.pending();
-  for (const Worker* w : workers_) {
-    std::uint32_t spins = 0;
-    while (w->acked_word.load(std::memory_order_acquire) != pend) {
-      // Relaxed stop poll: shutdown needs no ordering beyond the acks themselves.
-      if (stop_.load(std::memory_order_relaxed)) {
-        return;
-      }
-      if (++spins < 1024) {
-        CpuRelax();
-      } else {
-        std::this_thread::yield();  // let the worker run to its next txn boundary
-      }
-    }
-  }
 }
 
 void DoppelEngine::BarrierBuildPlan() {
@@ -421,7 +362,7 @@ void DoppelEngine::BarrierBuildPlan() {
   // charge kGet, so min_splittable_fraction would keep a scan-contended record
   // reconciled forever.
   for (const ScanAgg& a : sagg) {
-    if (a.count < c.min_scan_conflicts) {
+    if (a.count < kMinScanConflicts) {
       continue;
     }
     const std::pair<Key, std::uint64_t>* top = nullptr;
@@ -432,7 +373,7 @@ void DoppelEngine::BarrierBuildPlan() {
     }
     if (top == nullptr ||
         static_cast<double>(top->second) <
-            c.scan_vote_fraction * static_cast<double>(a.count)) {
+            kScanVoteFraction * static_cast<double>(a.count)) {
       continue;
     }
     Record* r = store_.Find(top->first);
@@ -494,98 +435,6 @@ void DoppelEngine::BarrierBuildPlan() {
 
   // Gauge reset at the barrier (workers quiesced; no ordering needed).
   stash_pressure_.store(0, std::memory_order_relaxed);
-  split_start_commits_ = SampleCommits();
-
-  // Workers are still quiesced at this barrier: the only moment adaptive boundary
-  // narrowing (which re-bins keys under the partition lock set) is race-free.
-  TuneAdaptiveTables();
-}
-
-// ---- Adaptive index partitioning ------------------------------------------------------
-
-DoppelEngine::TuneDeltas DoppelEngine::ComputeTuneDeltas(
-    const OrderedIndex::TableIndex& t) {
-  TuneDeltas d;
-  // Barrier-time telemetry reads (workers quiesced, every counter author parked):
-  // the barrier handshake orders them, relaxed suffices.
-  for (std::size_t i = 0; i < t.partitions.size(); ++i) {
-    const std::uint64_t ins = t.partitions[i].inserts.load(std::memory_order_relaxed);
-    const std::uint64_t delta = ins - t.tune_insert_marks[i];
-    d.inserts += delta;
-    d.hot_inserts = std::max(d.hot_inserts, delta);
-    d.conflict_total += t.partitions[i].scan_conflicts.load(std::memory_order_relaxed);
-  }
-  d.conflicts = d.conflict_total - t.tune_conflict_mark;
-  return d;
-}
-
-unsigned DoppelEngine::NarrowTargetShift(const OrderedIndex::TableIndex& t) {
-  // Spread [0, 2 * max_key] over the table's stripe capacity. The doubling is growth
-  // headroom: narrowing is irreversible (no widening), so an append-style table whose
-  // ids keep climbing must be able to at least double before new keys start clamping
-  // into the last stripe and re-serializing there.
-  const std::uint64_t max_key = t.max_key.load(std::memory_order_relaxed);
-  const unsigned log2_cap =
-      static_cast<unsigned>(std::bit_width(t.partitions.size()) - 1);
-  const unsigned need = static_cast<unsigned>(std::bit_width(max_key)) + 1;
-  return need > log2_cap ? need - log2_cap : 0;
-}
-
-bool DoppelEngine::WouldNarrow(const OrderedIndex::TableIndex& t,
-                               const TuneDeltas& d) const {
-  if (t.partitions.size() < 2) {
-    return false;  // NarrowTable would refuse; don't trigger useless quiesce barriers
-  }
-  const IndexTuneOptions& tu = opts_.index_tune;
-  const bool insert_skew =
-      d.inserts >= tu.min_inserts &&
-      static_cast<double>(d.hot_inserts) >=
-          tu.hot_stripe_fraction * static_cast<double>(d.inserts);
-  const bool phantom_pressure = d.conflicts >= tu.scan_conflict_pressure;
-  if (!insert_skew && !phantom_pressure) {
-    return false;
-  }
-  // Barrier-time read (coordinator is the only shift writer); relaxed suffices.
-  return NarrowTargetShift(t) < t.shift.load(std::memory_order_relaxed);
-}
-
-bool DoppelEngine::IndexTunePending() {
-  if (!opts_.index_tune.adaptive_enabled) {
-    return false;
-  }
-  bool pending = false;
-  store_.index().ForEachTable([&](OrderedIndex::TableIndex& t) {
-    if (!pending && t.adaptive) {
-      pending = WouldNarrow(t, ComputeTuneDeltas(t));
-    }
-  });
-  return pending;
-}
-
-void DoppelEngine::TuneAdaptiveTables() {
-  if (!opts_.index_tune.adaptive_enabled) {
-    return;
-  }
-  const IndexTuneOptions& tu = opts_.index_tune;
-  store_.index().ForEachTable([&](OrderedIndex::TableIndex& t) {
-    if (!t.adaptive) {
-      return;
-    }
-    const TuneDeltas d = ComputeTuneDeltas(t);
-    // Leave a trickle accumulating across barriers; evaluate (and start a fresh
-    // interval) only once either telemetry stream has enough mass to mean something.
-    if (d.inserts < tu.min_inserts && d.conflicts < tu.scan_conflict_pressure) {
-      return;
-    }
-    if (WouldNarrow(t, d)) {
-      store_.index().NarrowTable(t, NarrowTargetShift(t));
-    }
-    for (std::size_t i = 0; i < t.partitions.size(); ++i) {
-      // Barrier-time telemetry mark (workers quiesced); relaxed suffices.
-      t.tune_insert_marks[i] = t.partitions[i].inserts.load(std::memory_order_relaxed);
-    }
-    t.tune_conflict_mark = d.conflict_total;
-  });
 }
 
 void DoppelEngine::BarrierAfterReconcile() {
@@ -623,140 +472,17 @@ void DoppelEngine::BarrierAfterReconcile() {
   plan_.reset();
 }
 
-bool DoppelEngine::CheckpointDue() {
-  if (wal_ == nullptr || wal_->failed()) {
-    // Degraded (permanent WAL failure): a checkpoint could not update the manifest, so
-    // stop asking for barriers on its behalf.
-    return false;
-  }
-  // One checkpoint at a time: while the previous image is still being written, a
-  // request (sticky flag) or an elapsed interval waits for a later barrier.
-  if (wal_->checkpoint_in_flight()) {
-    return false;
-  }
-  CheckpointStats persisted;
-  if (wal_->TakeCheckpointResult(&persisted)) {
-    if (persisted.ok()) {
-      checkpoint_consecutive_failures_ = 0;
-      checkpoint_backoff_until_ns_ = 0;
-    } else {
-      OnCheckpointFailed();
-    }
-  }
-  // A failed checkpoint backs off before the next attempt (see OnCheckpointFailed);
-  // until then, don't request barriers that would just retry into the same full disk.
-  // Coordinator thread only — the plain reads are safe.
-  if (NowNanos() < checkpoint_backoff_until_ns_) {
-    return false;
-  }
-  // Sticky request flag; polled at barriers, no payload rides on it.
-  if (checkpoint_requested_.load(std::memory_order_relaxed)) {
-    return true;
-  }
-  if (opts_.checkpoint_interval_us == 0) {
-    return false;
-  }
-  // First barrier after Start checkpoints immediately (last_checkpoint_ns_ == 0), then
-  // the cadence applies.
-  return last_checkpoint_ns_ == 0 ||
-         NowNanos() - last_checkpoint_ns_ >= opts_.checkpoint_interval_us * 1000;
-}
-
-void DoppelEngine::OnCheckpointFailed() {
-  // The checkpoint rolled back (tmp removed, manifest untouched, old checkpoint
-  // live): retry at a later barrier with exponential backoff so a full disk isn't
-  // hammered every interval. Re-arm the sticky request so the retry happens even
-  // when the cadence alone wouldn't ask again.
-  checkpoint_consecutive_failures_ =
-      std::min<std::uint32_t>(checkpoint_consecutive_failures_ + 1, 6);
-  const std::uint64_t base_ns =
-      std::max<std::uint64_t>(opts_.checkpoint_interval_us * 1000, 100'000'000ull);
-  checkpoint_backoff_until_ns_ =
-      NowNanos() + (base_ns << (checkpoint_consecutive_failures_ - 1));
-  // Sticky re-arm read only by this coordinator thread at the next barrier.
-  checkpoint_requested_.store(true, std::memory_order_relaxed);
-}
-
-void DoppelEngine::BarrierMaybeCheckpoint() {
-  if (!CheckpointDue()) {
-    return;
-  }
-  // Flag consume at the barrier; no payload rides on it.
-  checkpoint_requested_.store(false, std::memory_order_relaxed);
-  CheckpointStats sealed;
-  if (!wal_->BeginCheckpoint(&sealed)) {
-    OnCheckpointFailed();
-    return;
-  }
-  last_checkpoint_ns_ = NowNanos();
-  // Parallel capture: publish the shard queue to the parked workers (they poll it in
-  // MaybeTransition's release wait) and work it from here too. The seq_cst publish
-  // also orders the workers' pre-ack record writes — which this thread acquired
-  // through their acks — before their shard reads.
-  CheckpointCapture capture(store_);
-  capture_.store(&capture);
-  capture.Work();
-  std::uint32_t spins = 0;
-  while (!capture.Done()) {
-    if (++spins < 1024) {
-      CpuRelax();
-    } else {
-      std::this_thread::yield();  // a helper was descheduled mid-shard
-    }
-  }
-  // Unpublish, then wait out helpers that may still hold the pointer. Both sides are
-  // seq_cst (store/load here, increment/load in HelpCheckpointCapture), so a helper
-  // either sees null or is counted here.
-  capture_.store(nullptr);
-  while (capture_helpers_.load() != 0) {
-    CpuRelax();
-  }
-  wal_->PersistCheckpointAsync(capture.TakeImage());
-}
-
-void DoppelEngine::HelpCheckpointCapture() {
-  // Cheap peek on every wait-loop spin; the seq_cst protocol below decides.
-  if (capture_.load(std::memory_order_relaxed) == nullptr) {
-    return;
-  }
-  capture_helpers_.fetch_add(1);
-  if (CheckpointCapture* capture = capture_.load()) {
-    capture->Work();
-  }
-  capture_helpers_.fetch_sub(1);
-}
-
-bool DoppelEngine::ReplicationCutDue() const {
-  return wal_ != nullptr && wal_->logging() &&
-         (opts_.replication_cuts || wal_->retention_leases() > 0);
-}
-
-void DoppelEngine::BarrierEmitReplicationCut() {
-  if (!ReplicationCutDue()) {
-    return;
-  }
-  // Workers are parked at the barrier and their acks give happens-before, so plain
-  // reads of each worker's TID clock see its final pre-barrier value; the max is the
-  // newest committed TID the cut covers.
-  std::uint64_t max_tid = 0;
-  for (const Worker* w : workers_) {
-    max_tid = std::max(max_tid, w->last_tid);
-  }
-  wal_->AppendCut(max_tid);
-}
-
-bool DoppelEngine::ShouldHurrySplitEnd() const {
+bool DoppelEngine::ShouldHurrySplitEnd(FunctionRef<std::uint64_t()> split_commits) const {
   // Pressure-gauge peek; a slightly stale value just shifts the heuristic a tick.
   const std::uint64_t stashes = stash_pressure_.load(std::memory_order_relaxed);
-  if (stashes >= opts_.stash_hard_limit) {
+  if (stashes >= kStashHardLimit) {
     return true;
   }
   if (stashes < 1000) {
     return false;
   }
-  const std::uint64_t commits = SampleCommits() - split_start_commits_;
   return static_cast<double>(stashes) >
-         opts_.hurry_stash_fraction * static_cast<double>(stashes + commits);
+         kHurryStashFraction * static_cast<double>(stashes + split_commits());
 }
 
 std::vector<std::pair<Key, OpCode>> DoppelEngine::LastPlanEntries() const {
@@ -764,14 +490,6 @@ std::vector<std::pair<Key, OpCode>> DoppelEngine::LastPlanEntries() const {
   std::vector<std::pair<Key, OpCode>> out = plan_snapshot_;
   plan_snapshot_mu_.unlock();
   return out;
-}
-
-std::uint64_t DoppelEngine::SampleCommits() const {
-  std::uint64_t sum = 0;
-  for (const Worker* w : workers_) {
-    sum += w->shared_commits.Load();
-  }
-  return sum;
 }
 
 }  // namespace doppel

@@ -45,32 +45,17 @@ struct ClassifierOptions {
   double unsplit_stash_ratio = 2.5;
   // After a stash-pressure unsplit, don't re-split the record for this many phase cycles.
   std::uint32_t resplit_suppress_phases = 16;
-
-  // ---- Per-partition scan-conflict signal (ordered-index telemetry) ----
-  // An index partition's sampled scan conflicts over one joined phase must reach this
-  // floor before the classifier acts on the partition at all.
-  std::uint64_t min_scan_conflicts = 8;
-  // When at least this share of a contended partition's scan conflicts pin one interior
-  // record (the sampler's majority vote), that record becomes a split candidate on its
-  // winning writers' operation — even if its own record-level conflicts are all reads
-  // (scanners losing validation charge kGet, which min_splittable_fraction would
-  // otherwise refuse forever).
-  double scan_vote_fraction = 0.5;
 };
 
-// Adaptive ordered-index partitioning (coordinator-driven, Doppel only). Tables
-// registered with PartitionConfig::adaptive get their boundary shift narrowed at phase
-// barriers — with every worker quiesced — when the per-partition telemetry shows the
-// load collapsing onto one stripe.
+// Adaptive ordered-index partitioning (coordinator-driven, every engine). Tables
+// registered with PartitionConfig::adaptive get their boundary shift narrowed at joined
+// quiesce barriers — with every worker parked — when the per-partition telemetry shows
+// the load collapsing onto one stripe.
 struct IndexTuneOptions {
-  // Master switch for coordinator narrowing.
-  bool adaptive_enabled = true;
   // Evaluate a table only once it has absorbed this many new inserts since the last
-  // evaluation (the share test below is meaningless on a trickle).
+  // evaluation (the one-stripe share test is meaningless on a trickle).
   std::uint64_t min_inserts = 4096;
-  // Narrow when one stripe absorbed at least this share of the interval's inserts.
-  double hot_stripe_fraction = 0.5;
-  // ... or when the table's stripes absorbed this many new scan conflicts (phantom
+  // ... or once the table's stripes absorbed this many new scan conflicts (phantom
   // pressure: inserts keep invalidating scans of a too-wide stripe).
   std::uint64_t scan_conflict_pressure = 64;
 };
@@ -80,6 +65,8 @@ struct Options {
   // 0 = one worker per available CPU.
   int num_workers = 0;
   // Phase change cadence (§5.4: "usually starts a phase change every 20 milliseconds").
+  // Under every protocol, also how often the coordinator looks for a due joined-barrier
+  // duty (checkpoint, replication cut, index narrowing).
   std::uint64_t phase_us = 20000;
   bool pin_threads = false;
   // Expected record count (the store does not resize).
@@ -103,13 +90,6 @@ struct Options {
   // blocking Submit spins until a slot frees up.
   std::size_t submit_inbox_capacity = 1024;
 
-  // Transactions a worker runs per hot-loop pass before re-checking phase state and
-  // re-reading the clock: inbox pops are batched and the per-transaction fixed costs
-  // (BetweenTxns, retry-heap due check, timestamp reads) amortize across the batch.
-  // Batches are executed back to back in microseconds, so phase-change acknowledgement
-  // latency stays far below any sane phase_us; 1 restores unbatched behaviour.
-  int worker_batch = 16;
-
   // Durability (extension, §3 of the paper): when non-empty, this directory holds the
   // persistence state — segmented redo logs plus checkpoints under a MANIFEST.
   // Committed transactions' logical operations are appended by an asynchronous batched
@@ -124,18 +104,16 @@ struct Options {
   bool wal_fsync = false;
   // Seal the active segment and rotate once it exceeds this size.
   std::uint64_t wal_segment_bytes = 8ull << 20;
-  // Doppel only: the coordinator takes a consistent checkpoint at a joined-phase
-  // quiesce barrier at least this often (0 = only when RequestCheckpoint is called).
-  // Each checkpoint truncates the sealed log segments it subsumes, bounding recovery
-  // cost by the log volume since the last barrier-aligned snapshot.
+  // The coordinator takes a consistent checkpoint at a joined quiesce barrier at least
+  // this often (0 = only when RequestCheckpoint is called), under every protocol.
+  // Each checkpoint truncates the sealed log segments it subsumes, bounding disk use
+  // and recovery cost by the log volume since the last barrier-aligned snapshot.
   std::uint64_t checkpoint_interval_us = 0;
-  // Threads for partitioned segment replay on Start (0 = auto).
-  int recovery_threads = 0;
-  // Doppel only: emit a replication-cut WAL record at every joined-phase quiesce
-  // barrier even when no replica is attached. Cuts are emitted automatically while any
-  // retention lease is held (an attached replica), so this is mainly for tests and for
-  // pre-populating a log a replica will bootstrap from later. See
-  // WriteAheadLog::AppendCut and src/replica/replica.h.
+  // Emit a replication-cut WAL record at a joined quiesce barrier about every phase_us,
+  // under every protocol, even when no replica is attached. Cuts are emitted
+  // automatically while any retention lease is held (an attached replica), so this is
+  // mainly for tests and for pre-populating a log a replica will bootstrap from later.
+  // See WriteAheadLog::AppendCut and src/replica/replica.h.
   bool replication_cuts = false;
   // I/O environment for every persistence-layer syscall (nullptr = the passthrough
   // default). Test hook: fault-injection tests install a FaultInjectingIoEnv here to
@@ -146,12 +124,6 @@ struct Options {
   // swept): the new generation's TID clocks restart, so its log can never legally
   // coexist with the old one. For tools/benches that want logging without recovery.
   bool recover_on_start = true;
-
-  // Split-phase feedback (§5.4): hurry the next joined phase when too large a share of
-  // split-phase transactions is being stashed (they are deferred work that only the next
-  // joined phase can retire).
-  std::uint64_t stash_hard_limit = std::uint64_t{1} << 16;
-  double hurry_stash_fraction = 0.3;
 };
 
 }  // namespace doppel

@@ -21,12 +21,15 @@ void CompleteSubmission(PendingTxn& pt, TxnAbort abort) {
     return;
   }
   SubmitTicket& t = *pt.ticket;
-  // attempts rides on the state release-store in Finish: waiters acquire state first.
-  t.attempts.store(result.attempts, std::memory_order_relaxed);
-  t.Finish(abort);
   std::function<void(const TxnResult&)> cb;
   {
+    // Publish the outcome and close registration in one critical section: a waiter
+    // that Finish wakes and that then calls OnComplete blocks on cb_mu until `finished`
+    // is set, so its callback runs inline as documented, not on this thread.
     t.cb_mu.lock();
+    // attempts rides on the state release-store in Finish: waiters acquire state first.
+    t.attempts.store(result.attempts, std::memory_order_relaxed);
+    t.Finish(abort);
     t.finished = true;
     cb = std::move(t.callback);
     t.callback = nullptr;

@@ -4,7 +4,7 @@
 // its committed TID — plus the ordered-index partition layout of every registered
 // table, so recovery can rebuild range-scan structures exactly as they were tuned (a
 // narrowed adaptive table recovers narrowed, not at its registration default). The
-// phase-reconciliation coordinator takes checkpoints at joined-phase quiesce barriers:
+// coordinator takes checkpoints at joined quiesce barriers, under every engine:
 // per-core slices are merged and every worker is parked between transactions, so a
 // plain iteration over the record map observes a transaction-consistent state without
 // any locking. STAR-style reasoning applies: recovery cost is dominated by the log

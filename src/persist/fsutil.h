@@ -2,10 +2,8 @@
 // crash-safety-critical fsync sequence (make the new bytes durable, then make the
 // rename durable) lives here once, used by both the manifest and the checkpointer.
 //
-// The Env variants are the fault-tolerant form: they route through an IoEnv, report
-// failures instead of aborting, and close the fd on every path (the old aborting
-// FsyncPath leaked its fd when the fsync CHECK fired). Per the io_env.h taxonomy a
-// failed fsync is never retried.
+// The helpers route through an IoEnv, report failures instead of aborting, and close
+// the fd on every path. Per the io_env.h taxonomy a failed fsync is never retried.
 #ifndef DOPPEL_SRC_PERSIST_FSUTIL_H_
 #define DOPPEL_SRC_PERSIST_FSUTIL_H_
 
@@ -14,7 +12,6 @@
 
 #include <string>
 
-#include "src/common/dassert.h"
 #include "src/persist/io_env.h"
 
 namespace doppel {
@@ -35,17 +32,6 @@ inline IoFailure FsyncPathEnv(IoEnv* env, const std::string& path,
 
 inline IoFailure FsyncDirEnv(IoEnv* env, const std::string& dir) {
   return FsyncPathEnv(env, dir, O_RDONLY | O_DIRECTORY);
-}
-
-// Abort-on-failure conveniences for callers outside the fault-tolerant paths.
-inline void FsyncPath(const std::string& path, int open_flags = O_RDONLY) {
-  const IoFailure f = FsyncPathEnv(IoEnv::Default(), path, open_flags);
-  errno = f.err;
-  DOPPEL_PCHECK(f.err == 0);
-}
-
-inline void FsyncDir(const std::string& dir) {
-  FsyncPath(dir, O_RDONLY | O_DIRECTORY);
 }
 
 }  // namespace doppel

@@ -713,9 +713,15 @@ CheckpointStats WriteAheadLog::FinishCheckpointLocked(CheckpointStats stats,
   if (!old_ckpt.empty()) {
     env_->Unlink((dir_ + "/" + old_ckpt).c_str());
   }
-  // Monotonic stats counter; readers are racy by contract.
-  checkpoints_.fetch_add(1, std::memory_order_relaxed);
   return stats;
+}
+
+void WriteAheadLog::EndCheckpoint(const CheckpointStats& stats) {
+  ckpt_in_flight_.store(false, std::memory_order_release);
+  if (stats.ok()) {
+    // Release after the flag: a reader that sees the new count sees the flag down.
+    checkpoints_.fetch_add(1, std::memory_order_release);
+  }
 }
 
 void WriteAheadLog::NoteCaptured(const CheckpointImage& image) {
@@ -760,7 +766,7 @@ void WriteAheadLog::RunPendingCheckpoint() {
   ckpt_mu_.lock();
   ckpt_result_ = stats;
   ckpt_mu_.unlock();
-  ckpt_in_flight_.store(false, std::memory_order_release);
+  EndCheckpoint(stats);
 }
 
 bool WriteAheadLog::TakeCheckpointResult(CheckpointStats* out) {
@@ -788,7 +794,7 @@ CheckpointStats WriteAheadLog::WriteCheckpoint(const Store& store) {
   const CheckpointImage image = Checkpoint::Capture(store);
   NoteCaptured(image);
   stats = PersistInFlight(image, [] {});
-  ckpt_in_flight_.store(false, std::memory_order_release);
+  EndCheckpoint(stats);
   return stats;
 }
 

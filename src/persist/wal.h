@@ -229,8 +229,9 @@ class WriteAheadLog {
   std::uint64_t segments_created() const {
     return segments_created_.load(std::memory_order_relaxed);
   }
+  // Once a checkpoint is counted here, checkpoint_in_flight() reads false for it.
   std::uint64_t checkpoints_taken() const {
-    return checkpoints_.load(std::memory_order_relaxed);
+    return checkpoints_.load(std::memory_order_acquire);
   }
   std::uint64_t cuts_emitted() const { return cuts_.load(std::memory_order_relaxed); }
   // Checkpoint cost split by where it is paid: capture is the barrier part (flush,
@@ -271,6 +272,8 @@ class WriteAheadLog {
   void RunPendingCheckpoint() EXCLUDES(file_mu_, ckpt_mu_);
   // Counts the capture time and image size of the in-flight checkpoint.
   void NoteCaptured(const CheckpointImage& image);
+  // Ends the in-flight checkpoint: clears the flag, then counts it if it succeeded.
+  void EndCheckpoint(const CheckpointStats& stats);
   // Writes the in-flight checkpoint's image and swaps the MANIFEST. `between_writes`
   // runs between the image's file writes.
   CheckpointStats PersistInFlight(const CheckpointImage& image,

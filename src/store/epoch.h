@@ -6,10 +6,10 @@
 // pointer to it at any moment, so it cannot simply be freed. The protocol here makes
 // physical removal safe without adding any cost to those readers:
 //
-//   1. Workers advance a local epoch slot at every transaction boundary (BetweenTxns,
-//      holding no record pointers). The driver (worker 0) advances the global epoch once
-//      every worker has observed the current one — so "global advanced twice" implies
-//      every worker passed at least one transaction boundary in between.
+//   1. Workers advance a local epoch slot at every transaction boundary (the worker
+//      loop, holding no record pointers). The driver (worker 0) advances the global
+//      epoch once every worker has observed the current one — so "global advanced
+//      twice" implies every worker passed at least one transaction boundary in between.
 //   2. The driver sweeps the record map a chunk of buckets at a time. A record is
 //      reclaimable when it is not split, not pinned (Doppel classifier state), its 2PL
 //      rw lock and OCC lock are both free to a try-acquire, and it is logically absent
@@ -117,7 +117,7 @@ class EpochReclaimer {
   EpochReclaimer(Store& store, std::size_t num_workers, const ReclaimOptions& opts);
   ~EpochReclaimer();
 
-  // Called on every worker's BetweenTxns tick. Non-driver workers only publish their
+  // Called on every worker loop pass, between transactions. Non-driver workers only publish their
   // epoch slot; worker 0 additionally drives advancement, sweeping, and freeing.
   // `gen_tid` mints a TID strictly above its argument (Worker::GenerateTid) — used to
   // bump a killed record's TID so stale readers fail validation. Returns the epoch the

@@ -23,13 +23,14 @@
 // repo's composite key layouts: RUBiS shards inserted row ids by worker at bit 40
 // (schema.h kShardStride) and puts scan dimensions (category, bucket) in bits >= 40.
 // Tables whose keys are dense (all below 2^40) should register a narrower config — or
-// set `adaptive`, which lets the Doppel coordinator narrow the boundaries between phases
-// when the per-partition insert/conflict telemetry shows one stripe absorbing the load
-// (NarrowTable re-bins every key under the table's full partition lock set).
+// set `adaptive`, which lets the coordinator (any engine) narrow the boundaries at a
+// quiesce barrier when the per-partition insert/conflict telemetry shows one stripe
+// absorbing the load (NarrowTable re-bins every key under the table's full partition
+// lock set).
 //
 // Telemetry: every partition counts structural inserts and scan conflicts (OCC
 // scan-validation failures, 2PL partition-lock timeouts). The counters are cumulative
-// and relaxed; the Doppel coordinator reads deltas at phase barriers to drive adaptive
+// and relaxed; the coordinator reads deltas at quiesce barriers to drive adaptive
 // narrowing, and ConflictSampler::RecordScanConflict aggregates the sampled per-worker
 // view for the contention classifier.
 #ifndef DOPPEL_SRC_STORE_ORDERED_INDEX_H_
@@ -54,7 +55,7 @@ struct PartitionConfig {
   unsigned shift = 40;
   // Stripe count (also the table's stripe capacity: narrowing changes only the shift).
   std::uint32_t partitions = 64;
-  // Allow the Doppel coordinator to narrow boundaries between phases.
+  // Allow the coordinator to narrow boundaries at quiesce barriers.
   bool adaptive = false;
 };
 
@@ -190,8 +191,8 @@ class OrderedIndex {
   // of the table's partition spinlocks, and bumps every partition version (any scan
   // validating across the re-bin aborts). Returns false (and does nothing) unless
   // new_shift < the current shift. PRECONDITION: no scan of this table may be in flight
-  // — the Doppel coordinator guarantees this by narrowing only at phase barriers with
-  // every worker quiesced; concurrent *inserts* are safe (Insert re-checks the shift
+  // — the coordinator guarantees this by narrowing only at quiesce barriers with every
+  // worker parked; concurrent *inserts* are safe (Insert re-checks the shift
   // under the partition lock and re-bins itself).
   // Unanalyzable lock set: acquires every partition spinlock of `t` in a loop, which
   // the function-local thread-safety analysis cannot express.

@@ -1,9 +1,9 @@
 // The concurrency-control engine interface.
 //
-// A Txn routes every data access through its engine; the worker loop calls BetweenTxns
-// for phase upkeep and Commit/Abort to finish a transaction. Implementations: OccEngine
-// (Silo-style OCC, §5.1), TwoPLEngine, AtomicEngine (baselines, §8.1), and DoppelEngine
-// (phase reconciliation, §5).
+// A Txn routes every data access through its engine; the worker loop calls Commit/Abort
+// to finish a transaction. Implementations: OccEngine (Silo-style OCC, §5.1),
+// TwoPLEngine, AtomicEngine (baselines, §8.1), and DoppelEngine (phase reconciliation,
+// §5).
 #ifndef DOPPEL_SRC_TXN_ENGINE_H_
 #define DOPPEL_SRC_TXN_ENGINE_H_
 
@@ -13,7 +13,6 @@
 #include "src/store/key.h"
 #include "src/store/record.h"
 #include "src/store/store.h"
-#include "src/txn/phase.h"
 #include "src/txn/signals.h"
 #include "src/txn/txn.h"
 #include "src/txn/worker.h"
@@ -56,14 +55,6 @@ class Engine {
 
   // Releases engine resources held by a doomed or degraded-gated attempt.
   virtual void Abort(Worker& w, Txn& txn) = 0;
-
-  // Called by the worker loop between transactions (phase transitions; default no-op).
-  virtual void BetweenTxns(Worker& w) { (void)w; }
-
-  virtual Phase CurrentPhase(const Worker& w) const {
-    (void)w;
-    return Phase::kJoined;
-  }
 
   // Classifier hooks (Doppel).
   virtual void OnConflict(Worker& w, Txn& txn) {

@@ -12,8 +12,6 @@ enum class Phase : std::uint8_t {
   kSplit = 1,
 };
 
-inline const char* PhaseName(Phase p) { return p == Phase::kJoined ? "joined" : "split"; }
-
 }  // namespace doppel
 
 #endif  // DOPPEL_SRC_TXN_PHASE_H_

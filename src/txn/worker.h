@@ -1,6 +1,6 @@
 // Per-worker state. One worker runs per core (§3): it generates transactions, executes
 // them to completion, retries aborted ones with exponential backoff, stashes transactions
-// blocked on split data, and participates in phase-change barriers.
+// blocked on split data, and acknowledges quiesce barriers.
 #ifndef DOPPEL_SRC_TXN_WORKER_H_
 #define DOPPEL_SRC_TXN_WORKER_H_
 
@@ -133,15 +133,14 @@ class Worker {
     return !retry_heap.empty() && retry_heap.front().due_ns <= now_ns;
   }
 
-  // ---- Phase machinery (Doppel; inert for other engines) ----
-  // Written only by the owning worker at phase transitions; atomic because observers
-  // (tests, diagnostics) may peek via Engine::CurrentPhase from other threads. All
-  // owner-side accesses use relaxed ordering (plain loads/stores on every target);
-  // cross-thread visibility of barrier-time state rides on the ack/release words below.
+  // ---- Phase (Doppel; always kJoined for other engines) ----
+  // Written only by the owning worker inside its barrier transition; atomic because
+  // observers (tests, diagnostics) may peek from other threads. All owner-side accesses
+  // use relaxed ordering (plain loads/stores on every target); cross-thread visibility
+  // of barrier-time state rides on the quiesce barrier's ack/release words
+  // (src/core/quiesce.h).
   std::atomic<Phase> phase{Phase::kJoined};
   Phase LoadPhase() const { return phase.load(std::memory_order_relaxed); }
-  std::uint64_t seen_word = 0;
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> acked_word{0};
 
   std::unique_ptr<WorkerExt> ext;
 };

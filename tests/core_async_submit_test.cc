@@ -253,7 +253,7 @@ TEST(AsyncSubmit, OnCompleteAfterCompletionRunsInline) {
 
 TEST(AsyncSubmit, TrySubmitReportsQueueFull) {
   Options opts;
-  opts.protocol = Protocol::kOcc;  // no coordinator: a blocked worker stalls nothing else
+  opts.protocol = Protocol::kOcc;  // no barrier is ever due: a blocked worker stalls nothing
   opts.num_workers = 1;
   opts.store_capacity = 64;
   opts.submit_inbox_capacity = 4;
@@ -263,13 +263,18 @@ TEST(AsyncSubmit, TrySubmitReportsQueueFull) {
   db.Start();
 
   // Park the only worker inside a transaction body so the inbox cannot drain.
+  std::atomic<bool> entered{false};
   std::atomic<bool> release{false};
   TxnHandle blocker = db.Submit([&](Txn& txn) {
     txn.Add(Key::FromU64(1), 1);
+    entered.store(true, std::memory_order_release);
     while (!release.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
   });
+  while (!entered.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
 
   // Fill the inbox past capacity; TrySubmit must eventually report kQueueFull without
   // blocking or dropping accepted work.
@@ -392,7 +397,7 @@ TEST(AsyncSubmit, StopDrainsInFlightHandles) {
 // ---- Lost-wakeup regression ----
 
 // The old global submit queue's TryRunSubmitted bailed out when try_lock failed even
-// with submit_count_ > 0, so a submitted transaction could sit a full BetweenTxns cycle
+// with submit_count_ > 0, so a submitted transaction could sit a full worker-loop pass
 // per collision. Hammering Execute from 8 threads against 2 workers made that visible
 // as multi-cycle stalls; per-worker MPSC inboxes have no lock to lose.
 TEST(AsyncSubmit, ExecuteHammerFromManyThreads) {
@@ -455,7 +460,7 @@ TEST(AsyncSubmit, StopRetiresStashedSubmissionsPromptly) {
   for (int attempt = 0; attempt < 50 && !stashed; ++attempt) {
     bool in_split = false;
     for (int i = 0; i < 5000 && !in_split; ++i) {
-      in_split = db.doppel()->controller().CurrentReleasedPhase() == Phase::kSplit;
+      in_split = db.barrier().CurrentReleasedPhase() == Phase::kSplit;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     ASSERT_TRUE(in_split);

@@ -3,7 +3,10 @@
 // un-split by stash pressure, and re-split suppression (§4-5.5).
 #include <gtest/gtest.h>
 
+#include "src/core/coordinator.h"
 #include "src/core/doppel_engine.h"
+#include "src/core/quiesce.h"
+#include "src/core/runner.h"
 #include "tests/test_util.h"
 
 namespace doppel {
@@ -14,11 +17,13 @@ class ClassifierDynamicsTest : public ::testing::Test {
   ClassifierDynamicsTest() : store_(1 << 10) {}
 
   void Build(const Options& opts, int num_workers = 1) {
-    engine_ = std::make_unique<DoppelEngine>(store_, opts, stop_);
+    tune_ = opts.index_tune;
+    engine_ = std::make_unique<DoppelEngine>(store_, opts);
     for (int i = 0; i < num_workers; ++i) {
       workers_.push_back(std::make_unique<Worker>(i, 11 + 7 * i));
     }
     engine_->RegisterWorkers(workers_);
+    barrier_ = std::make_unique<QuiesceBarrier>(num_workers, stop_);
     w_ = workers_[0].get();
   }
 
@@ -34,26 +39,31 @@ class ClassifierDynamicsTest : public ::testing::Test {
 
   // Single-threaded phase-transition helpers. The coordinator's barrier work runs on
   // this thread with the (idle) worker quiescent, and Release precedes the worker's
-  // BetweenTxns so its ack/release spin exits immediately.
+  // Acknowledge so its ack/release spin exits immediately.
   void EnterSplit() {
-    engine_->controller().BeginTransition(Phase::kSplit);
+    barrier_->BeginTransition(Phase::kSplit);
     engine_->BarrierBuildPlan();
-    engine_->controller().Release();
+    barrier_->Release();
     for (auto& w : workers_) {
-      engine_->BetweenTxns(*w);  // ack, observe release, prepare slices, enter split
+      // ack, observe release, prepare slices, enter split
+      barrier_->Acknowledge(*w, engine_.get(), cfg_);
     }
-    ASSERT_EQ(engine_->CurrentPhase(*w_), Phase::kSplit);
+    ASSERT_EQ(w_->LoadPhase(), Phase::kSplit);
   }
 
   void EnterJoined() {
-    engine_->controller().BeginTransition(Phase::kJoined);
-    engine_->controller().Release();
+    barrier_->BeginTransition(Phase::kJoined);
+    barrier_->Release();
     for (auto& w : workers_) {
-      engine_->BetweenTxns(*w);  // merge slices, ack, enter joined
+      barrier_->Acknowledge(*w, engine_.get(), cfg_);  // merge slices, ack, enter joined
     }
     engine_->BarrierAfterReconcile();  // reads the stats the merge just reported
-    ASSERT_EQ(engine_->CurrentPhase(*w_), Phase::kJoined);
+    ASSERT_EQ(w_->LoadPhase(), Phase::kJoined);
   }
+
+  // The coordinator's index-narrowing duty, run as at a joined barrier.
+  bool IndexTunePending() { return doppel::IndexTunePending(store_, tune_); }
+  void TuneIndexes() { TuneAdaptiveTables(store_, tune_); }
 
   // Run one full phase cycle on the single (not-running) worker, committing `writes`
   // transactions of the selected op against the split record during the split phase.
@@ -79,8 +89,11 @@ class ClassifierDynamicsTest : public ::testing::Test {
 
   std::atomic<bool> stop_{false};
   Store store_;
+  IndexTuneOptions tune_;
   std::unique_ptr<DoppelEngine> engine_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  std::unique_ptr<QuiesceBarrier> barrier_;
+  const RunnerConfig cfg_;
   Worker* w_ = nullptr;
 };
 
@@ -293,15 +306,15 @@ TEST_F(ClassifierDynamicsTest, SkewedInsertsNarrowAdaptiveTable) {
   for (std::uint64_t i = 0; i < 2000; ++i) {
     store_.LoadInt(Key::Table(6, i), 1);  // dense sub-2^40 keys: all on stripe 0
   }
-  EXPECT_TRUE(engine_->IndexTunePending());
-  engine_->BarrierTuneIndexes();
+  EXPECT_TRUE(IndexTunePending());
+  TuneIndexes();
   const OrderedIndex::TableStats st = store_.index().StatsFor(6);
   EXPECT_EQ(st.rebins, 1u);
   // bit_width(1999) = 11, +1 headroom bit, minus log2(64 stripes).
   EXPECT_EQ(st.shift, 6u);
   EXPECT_EQ(st.entries, 2000u);
   // A fresh interval starts at the evaluation: nothing pending until new telemetry.
-  EXPECT_FALSE(engine_->IndexTunePending());
+  EXPECT_FALSE(IndexTunePending());
   // Scans see every row across the re-binned layout.
   w_->txn.Reset(engine_.get(), w_);
   EXPECT_EQ(w_->txn.Scan(6, 0, 1ULL << 41, 0,
@@ -319,8 +332,8 @@ TEST_F(ClassifierDynamicsTest, NarrowingDoesNotFireOnUniformWorkload) {
   for (std::uint64_t i = 0; i < 1024; ++i) {
     store_.LoadInt(Key::Table(7, ((i % 16) << 12) | (i / 16)), 1);
   }
-  EXPECT_FALSE(engine_->IndexTunePending());
-  engine_->BarrierTuneIndexes();
+  EXPECT_FALSE(IndexTunePending());
+  TuneIndexes();
   EXPECT_EQ(store_.index().StatsFor(7).rebins, 0u);
   EXPECT_EQ(store_.index().StatsFor(7).shift, 12u);
 
@@ -329,8 +342,8 @@ TEST_F(ClassifierDynamicsTest, NarrowingDoesNotFireOnUniformWorkload) {
   for (std::uint64_t i = 0; i < 1024; ++i) {
     store_.LoadInt(Key::Table(8, i), 1);
   }
-  EXPECT_TRUE(engine_->IndexTunePending());
-  engine_->BarrierTuneIndexes();
+  EXPECT_TRUE(IndexTunePending());
+  TuneIndexes();
   EXPECT_EQ(store_.index().StatsFor(8).rebins, 1u);
   // bit_width(1023) = 10, +1 headroom bit, minus log2(16).
   EXPECT_EQ(store_.index().StatsFor(8).shift, 7u);
@@ -345,14 +358,14 @@ TEST_F(ClassifierDynamicsTest, PhantomScanPressureNarrowsAdaptiveTable) {
   for (std::uint64_t i = 0; i < 1000; ++i) {
     store_.LoadInt(Key::Table(9, i), 1);
   }
-  EXPECT_FALSE(engine_->IndexTunePending());
+  EXPECT_FALSE(IndexTunePending());
   // Inserts keep invalidating scans of the one overloaded stripe (raw telemetry the
   // OCC commit path and 2PL lock timeouts feed).
   OrderedIndex::TableIndex* t = store_.index().FindTable(9);
   ASSERT_NE(t, nullptr);
   t->partitions[0].scan_conflicts.store(20);
-  EXPECT_TRUE(engine_->IndexTunePending());
-  engine_->BarrierTuneIndexes();
+  EXPECT_TRUE(IndexTunePending());
+  TuneIndexes();
   const OrderedIndex::TableStats st = store_.index().StatsFor(9);
   EXPECT_EQ(st.rebins, 1u);
   EXPECT_EQ(st.shift, 5u);  // bit_width(999) = 10, +1 headroom bit, minus log2(64)

@@ -115,10 +115,10 @@ TEST(Doppel, ReadsOfSplitDataStashAndStillCommit) {
 
   // The coordinator opens with a full joined phase, and 50 uncontended reads finish
   // well inside one, so start reading only once a split phase is running.
-  const PhaseController& ctrl = db.doppel()->controller();
+  const QuiesceBarrier& barrier = db.barrier();
   bool split = false;
   for (int i = 0; i < 2000 && !split; ++i) {
-    split = ctrl.CurrentReleasedPhase() == Phase::kSplit;
+    split = barrier.CurrentReleasedPhase() == Phase::kSplit;
     if (!split) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
@@ -313,31 +313,33 @@ INSTANTIATE_TEST_SUITE_P(
              OpName(std::get<1>(info.param));
     });
 
-// Regression (double merge at shutdown): MaybeTransition's early stop_ return acks the
-// transition but leaves seen_word stale, so the worker loop re-enters the same
-// transition. Before the fix, MergeWorkerSlices never cleared Slice::dirty, and the
-// re-entered transition re-merged the same accumulator — double-applying kAdd/kMult
+// Regression (double merge at shutdown): a barrier transition's early stop return acks
+// the transition but leaves the worker's seen word stale, so the worker loop re-enters
+// the same transition. Before the fix, MergeWorkerSlices never cleared Slice::dirty, and
+// the re-entered transition re-merged the same accumulator — double-applying kAdd/kMult
 // deltas. The exact interleaving is forced here on a raw engine with no coordinator.
 TEST(DoppelRegression, ShutdownReentryDoesNotDoubleMergeSlices) {
   std::atomic<bool> stop{false};
   Store store(1 << 10);
   Options opts;
   opts.manual_split_only = true;
-  DoppelEngine engine(store, opts, stop);
+  DoppelEngine engine(store, opts);
   std::vector<std::unique_ptr<Worker>> workers;
   workers.push_back(std::make_unique<Worker>(0, 42));
   engine.RegisterWorkers(workers);
+  QuiesceBarrier barrier(1, stop);
+  const RunnerConfig cfg;
   Worker& w = *workers[0];
   const Key k = Key::FromU64(1);
   store.LoadInt(k, 100);
   engine.MarkSplitManually(k, OpCode::kAdd);
 
   // JOINED -> SPLIT, single-threaded barrier protocol (as the coordinator would run it).
-  engine.controller().BeginTransition(Phase::kSplit);
+  barrier.BeginTransition(Phase::kSplit);
   engine.BarrierBuildPlan();
-  engine.controller().Release();
-  engine.BetweenTxns(w);
-  ASSERT_EQ(engine.CurrentPhase(w), Phase::kSplit);
+  barrier.Release();
+  barrier.Acknowledge(w, &engine, cfg);
+  ASSERT_EQ(w.LoadPhase(), Phase::kSplit);
 
   // One committed split write: the worker's slice now holds a dirty +5 accumulator.
   w.txn.Reset(&engine, &w);
@@ -346,13 +348,14 @@ TEST(DoppelRegression, ShutdownReentryDoesNotDoubleMergeSlices) {
 
   // SPLIT -> JOINED whose release the worker never observes (the shutdown race): with
   // stop set before the worker notices the transition, it merges, acks, and returns
-  // early from the release spin with seen_word still stale...
-  engine.controller().BeginTransition(Phase::kJoined);
+  // early from the release spin with its seen word still stale...
+  barrier.BeginTransition(Phase::kJoined);
   stop.store(true);
-  engine.BetweenTxns(w);  // merge #1, ack, early return
+  barrier.Acknowledge(w, &engine, cfg);  // merge #1, ack, early return
   // ...so the worker loop re-enters the transition and merges again.
-  engine.BetweenTxns(w);  // re-entry: must be a no-op on the already-consumed slice
-  engine.controller().Release();
+  // Re-entry: must be a no-op on the already-consumed slice.
+  barrier.Acknowledge(w, &engine, cfg);
+  barrier.Release();
   engine.BarrierAfterReconcile();
 
   EXPECT_EQ(IntAt(store, k), 105) << "re-entered transition re-applied the Add delta";

@@ -1,45 +1,48 @@
-// Tests for the phase controller, the conflict sampler, and the worker-side transition
+// Tests for the quiesce barrier, the conflict sampler, and the worker-side transition
 // protocol driven manually (no coordinator thread).
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "src/core/doppel_engine.h"
-#include "src/core/phase_controller.h"
+#include "src/core/quiesce.h"
+#include "src/core/runner.h"
 #include "src/core/sampler.h"
 #include "tests/test_util.h"
 
 namespace doppel {
 namespace {
 
-TEST(PhaseController, EncodeDecodeRoundTrip) {
+TEST(QuiesceBarrier, EncodeDecodeRoundTrip) {
   for (std::uint64_t seq : {0ULL, 1ULL, 77ULL, 1ULL << 40}) {
     for (Phase p : {Phase::kJoined, Phase::kSplit}) {
-      const std::uint64_t w = PhaseController::Encode(seq, p);
-      EXPECT_EQ(PhaseController::DecodeSeq(w), seq);
-      EXPECT_EQ(PhaseController::DecodePhase(w), p);
+      const std::uint64_t w = QuiesceBarrier::Encode(seq, p);
+      EXPECT_EQ(QuiesceBarrier::DecodeSeq(w), seq);
+      EXPECT_EQ(QuiesceBarrier::DecodePhase(w), p);
     }
   }
 }
 
-TEST(PhaseController, InitialStateJoinedReleased) {
-  PhaseController ctrl;
+TEST(QuiesceBarrier, InitialStateJoinedReleased) {
+  const std::atomic<bool> stop{false};
+  QuiesceBarrier ctrl(1, stop);
   EXPECT_FALSE(ctrl.TransitionInFlight());
   EXPECT_EQ(ctrl.CurrentReleasedPhase(), Phase::kJoined);
   EXPECT_EQ(ctrl.pending(), ctrl.released());
 }
 
-TEST(PhaseController, TransitionSequence) {
-  PhaseController ctrl;
+TEST(QuiesceBarrier, TransitionSequence) {
+  const std::atomic<bool> stop{false};
+  QuiesceBarrier ctrl(1, stop);
   const std::uint64_t w1 = ctrl.BeginTransition(Phase::kSplit);
   EXPECT_TRUE(ctrl.TransitionInFlight());
-  EXPECT_EQ(PhaseController::DecodePhase(w1), Phase::kSplit);
-  EXPECT_EQ(PhaseController::DecodeSeq(w1), 1u);
+  EXPECT_EQ(QuiesceBarrier::DecodePhase(w1), Phase::kSplit);
+  EXPECT_EQ(QuiesceBarrier::DecodeSeq(w1), 1u);
   ctrl.Release();
   EXPECT_FALSE(ctrl.TransitionInFlight());
   EXPECT_EQ(ctrl.CurrentReleasedPhase(), Phase::kSplit);
   const std::uint64_t w2 = ctrl.BeginTransition(Phase::kJoined);
-  EXPECT_EQ(PhaseController::DecodeSeq(w2), 2u);
+  EXPECT_EQ(QuiesceBarrier::DecodeSeq(w2), 2u);
   ctrl.Release();
   EXPECT_EQ(ctrl.CurrentReleasedPhase(), Phase::kJoined);
 }
@@ -114,18 +117,19 @@ TEST(Sampler, HeavyHitterSurvivesChurn) {
 
 class ManualPhaseTest : public ::testing::Test {
  protected:
-  ManualPhaseTest() : store_(1 << 10), engine_(store_, Options{}, stop_) {}
+  ManualPhaseTest() : store_(1 << 10), engine_(store_, Options{}) {}
 
   void StartWorkers(int n) {
     for (int i = 0; i < n; ++i) {
       workers_.push_back(std::make_unique<Worker>(i, 17 + i));
     }
     engine_.RegisterWorkers(workers_);
+    barrier_ = std::make_unique<QuiesceBarrier>(n, stop_);
     for (auto& w : workers_) {
       Worker* worker = w.get();
       threads_.emplace_back([this, worker] {
         while (!stop_.load()) {
-          engine_.BetweenTxns(*worker);
+          barrier_->Acknowledge(*worker, &engine_, cfg_);
           std::this_thread::yield();
         }
       });
@@ -135,7 +139,9 @@ class ManualPhaseTest : public ::testing::Test {
   void TearDown() override {
     stop_ = true;
     // Unblock anyone waiting on a release.
-    engine_.controller().Release();
+    if (barrier_ != nullptr) {
+      barrier_->Release();
+    }
     for (auto& t : threads_) {
       t.join();
     }
@@ -144,35 +150,37 @@ class ManualPhaseTest : public ::testing::Test {
   std::atomic<bool> stop_{false};
   Store store_;
   DoppelEngine engine_;
+  const RunnerConfig cfg_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  std::unique_ptr<QuiesceBarrier> barrier_;
   std::vector<std::thread> threads_;
 };
 
 TEST_F(ManualPhaseTest, WorkersFollowTransitions) {
   StartWorkers(2);
-  EXPECT_EQ(engine_.CurrentPhase(*workers_[0]), Phase::kJoined);
+  EXPECT_EQ(workers_[0]->LoadPhase(), Phase::kJoined);
 
-  engine_.controller().BeginTransition(Phase::kSplit);
-  engine_.WaitForWorkerAcks();
+  barrier_->BeginTransition(Phase::kSplit);
+  barrier_->WaitForAcks();
   engine_.BarrierBuildPlan();
-  engine_.controller().Release();
+  barrier_->Release();
   // Workers observe the release and enter the split phase.
   for (auto& w : workers_) {
-    while (engine_.CurrentPhase(*w) != Phase::kSplit && !stop_.load()) {
+    while (w->LoadPhase() != Phase::kSplit && !stop_.load()) {
       std::this_thread::yield();
     }
-    EXPECT_EQ(engine_.CurrentPhase(*w), Phase::kSplit);
+    EXPECT_EQ(w->LoadPhase(), Phase::kSplit);
   }
 
-  engine_.controller().BeginTransition(Phase::kJoined);
-  engine_.WaitForWorkerAcks();
+  barrier_->BeginTransition(Phase::kJoined);
+  barrier_->WaitForAcks();
   engine_.BarrierAfterReconcile();
-  engine_.controller().Release();
+  barrier_->Release();
   for (auto& w : workers_) {
-    while (engine_.CurrentPhase(*w) != Phase::kJoined && !stop_.load()) {
+    while (w->LoadPhase() != Phase::kJoined && !stop_.load()) {
       std::this_thread::yield();
     }
-    EXPECT_EQ(engine_.CurrentPhase(*w), Phase::kJoined);
+    EXPECT_EQ(w->LoadPhase(), Phase::kJoined);
   }
 }
 
@@ -183,19 +191,19 @@ TEST_F(ManualPhaseTest, ManualLabelSplitsDuringSplitPhase) {
   EXPECT_TRUE(engine_.HasSplitCandidates());
   StartWorkers(2);
 
-  engine_.controller().BeginTransition(Phase::kSplit);
-  engine_.WaitForWorkerAcks();
+  barrier_->BeginTransition(Phase::kSplit);
+  barrier_->WaitForAcks();
   engine_.BarrierBuildPlan();
   EXPECT_EQ(engine_.LastPlanSize(), 1u);
   Record* r = store_.Find(hot);
   EXPECT_TRUE(r->IsSplit());
   EXPECT_EQ(static_cast<OpCode>(r->split_op()), OpCode::kAdd);
-  engine_.controller().Release();
+  barrier_->Release();
 
-  engine_.controller().BeginTransition(Phase::kJoined);
-  engine_.WaitForWorkerAcks();
+  barrier_->BeginTransition(Phase::kJoined);
+  barrier_->WaitForAcks();
   engine_.BarrierAfterReconcile();
-  engine_.controller().Release();
+  barrier_->Release();
   EXPECT_FALSE(r->IsSplit());  // reconciled again in joined phases
 }
 
@@ -203,26 +211,25 @@ TEST_F(ManualPhaseTest, PlanSnapshotReflectsEntries) {
   engine_.MarkSplitManually(Key::FromU64(1), OpCode::kMax);
   engine_.MarkSplitManually(Key::FromU64(2), OpCode::kTopKInsert, 7);
   StartWorkers(1);
-  engine_.controller().BeginTransition(Phase::kSplit);
-  engine_.WaitForWorkerAcks();
+  barrier_->BeginTransition(Phase::kSplit);
+  barrier_->WaitForAcks();
   engine_.BarrierBuildPlan();
-  engine_.controller().Release();
+  barrier_->Release();
   const auto entries = engine_.LastPlanEntries();
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].first, Key::FromU64(1));
   EXPECT_EQ(entries[0].second, OpCode::kMax);
   EXPECT_EQ(entries[1].second, OpCode::kTopKInsert);
-  engine_.controller().BeginTransition(Phase::kJoined);
-  engine_.WaitForWorkerAcks();
+  barrier_->BeginTransition(Phase::kJoined);
+  barrier_->WaitForAcks();
   engine_.BarrierAfterReconcile();
-  engine_.controller().Release();
+  barrier_->Release();
 }
 
 TEST(ClassifierThresholds, NoCandidatesWithoutConflicts) {
-  std::atomic<bool> stop{false};
   Store store(64);
   Options opts;
-  DoppelEngine engine(store, opts, stop);
+  DoppelEngine engine(store, opts);
   std::vector<std::unique_ptr<Worker>> workers;
   workers.push_back(std::make_unique<Worker>(0, 1));
   engine.RegisterWorkers(workers);
@@ -230,11 +237,10 @@ TEST(ClassifierThresholds, NoCandidatesWithoutConflicts) {
 }
 
 TEST(ClassifierThresholds, ManualOnlyIgnoresSampledConflicts) {
-  std::atomic<bool> stop{false};
   Store store(64);
   Options opts;
   opts.manual_split_only = true;
-  DoppelEngine engine(store, opts, stop);
+  DoppelEngine engine(store, opts);
   std::vector<std::unique_ptr<Worker>> workers;
   workers.push_back(std::make_unique<Worker>(0, 1));
   engine.RegisterWorkers(workers);
@@ -253,10 +259,9 @@ TEST(ClassifierThresholds, ManualOnlyIgnoresSampledConflicts) {
 }
 
 TEST(ClassifierThresholds, SampledConflictsProduceSplitPlan) {
-  std::atomic<bool> stop{false};
   Store store(64);
   Options opts;
-  DoppelEngine engine(store, opts, stop);
+  DoppelEngine engine(store, opts);
   std::vector<std::unique_ptr<Worker>> workers;
   workers.push_back(std::make_unique<Worker>(0, 1));
   engine.RegisterWorkers(workers);
@@ -277,10 +282,9 @@ TEST(ClassifierThresholds, SampledConflictsProduceSplitPlan) {
 }
 
 TEST(ClassifierThresholds, ReadDominatedConflictsDoNotSplit) {
-  std::atomic<bool> stop{false};
   Store store(64);
   Options opts;
-  DoppelEngine engine(store, opts, stop);
+  DoppelEngine engine(store, opts);
   std::vector<std::unique_ptr<Worker>> workers;
   workers.push_back(std::make_unique<Worker>(0, 1));
   engine.RegisterWorkers(workers);
@@ -298,12 +302,11 @@ TEST(ClassifierThresholds, ReadDominatedConflictsDoNotSplit) {
 }
 
 TEST(ClassifierThresholds, MaxSplitRecordsCap) {
-  std::atomic<bool> stop{false};
   Store store(1 << 10);
   Options opts;
   opts.classifier.max_split_records = 3;
   opts.classifier.split_conflict_fraction = 0.0;
-  DoppelEngine engine(store, opts, stop);
+  DoppelEngine engine(store, opts);
   std::vector<std::unique_ptr<Worker>> workers;
   workers.push_back(std::make_unique<Worker>(0, 1));
   engine.RegisterWorkers(workers);

@@ -260,7 +260,7 @@ TEST(ScanSerializability, ScanWindowWithSplitRecordStashesAndRetires) {
   bool saw_stash = false;
   for (int i = 0; i < 400 && !saw_stash; ++i) {
     // Wait for a split phase to be live, then scan across the split record.
-    if (db.doppel()->controller().CurrentReleasedPhase() != Phase::kSplit) {
+    if (db.barrier().CurrentReleasedPhase() != Phase::kSplit) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
       continue;
     }

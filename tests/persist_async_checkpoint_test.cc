@@ -2,8 +2,10 @@
 // committing while the checkpoint file is written, a checkpoint requested meanwhile is
 // deferred (not dropped), Stop and crashes mid-persist lose nothing, a WAL failure
 // mid-persist never moves the MANIFEST, and a sharded capture writes the same bytes as
-// a single-threaded one. Also: the slicing-by-8 CRC against its bytewise reference,
-// and checkpoint loads routed through the IoEnv seam.
+// a single-threaded one. The request and interval cases run under every engine with a
+// write path (checkpoints ride the engine-neutral quiesce barrier), and an OCC database
+// checkpointing on its interval keeps its log bounded. Also: the slicing-by-8 CRC
+// against its bytewise reference, and checkpoint loads routed through the IoEnv seam.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -126,9 +128,10 @@ class LatchedCheckpointEnv : public FaultInjectingIoEnv {
   std::atomic<int> tmp_opens_{0};
 };
 
-Options MakeOptions(const std::string& dir, IoEnv* env) {
+Options MakeOptions(const std::string& dir, IoEnv* env,
+                    Protocol protocol = Protocol::kDoppel) {
   Options o;
-  o.protocol = Protocol::kDoppel;
+  o.protocol = protocol;
   o.num_workers = 2;
   o.phase_us = 1000;
   o.store_capacity = 1 << 12;
@@ -371,12 +374,22 @@ TEST(CheckpointLoad, FaultOnCheckpointPathMakesTryLoadReturnFalse) {
 
 // ---- Background persist ----------------------------------------------------------------
 
-TEST(AsyncCheckpoint, WorkersCommitWhilePersistIsHeld) {
+// The cases that checkpoint on request or on the interval, once per engine.
+class AsyncCheckpointEngines : public ::testing::TestWithParam<Protocol> {};
+
+INSTANTIATE_TEST_SUITE_P(Engines, AsyncCheckpointEngines,
+                         ::testing::Values(Protocol::kDoppel, Protocol::kOcc,
+                                           Protocol::kTwoPL),
+                         [](const ::testing::TestParamInfo<Protocol>& info) {
+                           return std::string(ProtocolName(info.param));
+                         });
+
+TEST_P(AsyncCheckpointEngines, WorkersCommitWhilePersistIsHeld) {
   const std::string dir = FreshDir("async_commit");
   LatchedCheckpointEnv env(11);
   int committed = 0;
   {
-    Database db(MakeOptions(dir, &env));
+    Database db(MakeOptions(dir, &env, GetParam()));
     LoadCounters(db);
     db.Start();
     committed += CommitIncrements(db, 100);
@@ -408,11 +421,11 @@ TEST(AsyncCheckpoint, WorkersCommitWhilePersistIsHeld) {
   RemoveDirRecursive(dir);
 }
 
-TEST(AsyncCheckpoint, RequestWhileInFlightIsDeferredNotDropped) {
+TEST_P(AsyncCheckpointEngines, RequestWhileInFlightIsDeferredNotDropped) {
   const std::string dir = FreshDir("async_defer");
   LatchedCheckpointEnv env(12);
   {
-    Database db(MakeOptions(dir, &env));
+    Database db(MakeOptions(dir, &env, GetParam()));
     LoadCounters(db);
     db.Start();
     CommitIncrements(db, 50);
@@ -552,7 +565,7 @@ TEST(AsyncCheckpoint, PermanentWalFailureMidPersistNeverSwapsManifest) {
 // Seeded fault schedules on the checkpoint files only, while checkpoints persist in
 // the background on a short cadence: every failed persist must roll back (no tmp
 // debris, the log stays healthy), and a clean reopen recovers exactly what committed.
-TEST(AsyncCheckpoint, SeededCheckpointFaultsRollBackAndRecoverExactly) {
+TEST_P(AsyncCheckpointEngines, SeededCheckpointFaultsRollBackAndRecoverExactly) {
   Rng rng(FuzzSeed() ^ 0xa5c4ULL);
   constexpr int kSchedules = 6;
   std::uint64_t failures = 0;
@@ -576,7 +589,7 @@ TEST(AsyncCheckpoint, SeededCheckpointFaultsRollBackAndRecoverExactly) {
       }
       fenv.AddRule(r);
     }
-    Options o = MakeOptions(dir, &fenv);
+    Options o = MakeOptions(dir, &fenv, GetParam());
     o.checkpoint_interval_us = 2000;
     int committed = 0;
     {
@@ -604,6 +617,42 @@ TEST(AsyncCheckpoint, SeededCheckpointFaultsRollBackAndRecoverExactly) {
   std::printf("checkpoints taken %llu, rolled back %llu\n",
               static_cast<unsigned long long>(taken),
               static_cast<unsigned long long>(failures));
+}
+
+// An OCC database has no split phases, yet its coordinator still quiesces the workers
+// when a checkpoint is due: over a long run with small segments, every interval's
+// checkpoint retires the sealed segments it subsumes, so the live log stays bounded
+// instead of growing with uptime, and a reopen recovers exactly.
+TEST(AsyncCheckpoint, OccIntervalCheckpointsKeepLogBounded) {
+  const std::string dir = FreshDir("async_bounded");
+  Options o = MakeOptions(dir, nullptr, Protocol::kOcc);
+  o.wal_segment_bytes = 2048;  // a few dozen entries per segment
+  o.checkpoint_interval_us = 5000;
+  int committed = 0;
+  std::size_t max_live = 0;
+  std::uint64_t created = 0;
+  {
+    Database db(o);
+    LoadCounters(db);
+    db.Start();
+    for (int round = 0; round < 40; ++round) {
+      committed += CommitIncrements(db, 100);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      max_live = std::max(max_live, FilesWithSuffix(dir, ".log").size());
+    }
+    created = db.wal()->segments_created();
+    EXPECT_GE(db.wal()->checkpoints_taken(), 5u);
+    db.Stop();
+  }
+  std::printf("segments created %llu, max live %zu\n",
+              static_cast<unsigned long long>(created), max_live);
+  EXPECT_EQ(committed, 4000);
+  // Without checkpoints every segment ever created would still be live.
+  EXPECT_GE(created, 60u);
+  EXPECT_LE(max_live, 24u) << "live segments grew with the run (" << created
+                           << " created)";
+  EXPECT_EQ(RecoveredSum(dir), committed);
+  RemoveDirRecursive(dir);
 }
 
 // Child body (DOPPEL_CHECK, not gtest asserts: they do not work across fork). Takes

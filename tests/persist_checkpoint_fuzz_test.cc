@@ -1,9 +1,10 @@
 // Checkpoint-equivalence fuzz (same harness idioms as store_scan_fuzz_test.cc:
 // balanced transfers + fresh-key inserts + full-window scan-sum invariants, randomized
-// per seed). A Doppel database runs the workload with mid-run coordinator checkpoints,
-// is shut down without any shutdown snapshot (the recovered state must come from
-// mid-run checkpoint + segment replay), and a reopened database must reproduce the
-// exact serial final state — every record value and the ordered-index scan view.
+// per seed). A database runs the workload with mid-run coordinator checkpoints, is shut
+// down without any shutdown snapshot (the recovered state must come from mid-run
+// checkpoint + segment replay), and a reopened database must reproduce the exact serial
+// final state — every record value and the ordered-index scan view. Every engine with
+// a write path takes the same barrier-time checkpoints, so each runs the fuzz.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -34,9 +35,9 @@ PartitionConfig TableConfig() {
   return cfg;
 }
 
-Options MakeOptions(const std::string& dir) {
+Options MakeOptions(const std::string& dir, Protocol protocol) {
   Options o;
-  o.protocol = Protocol::kDoppel;
+  o.protocol = protocol;
   o.num_workers = 4;
   o.phase_us = 1000;
   o.store_capacity = 1 << 12;
@@ -69,9 +70,11 @@ std::vector<std::pair<std::uint64_t, std::int64_t>> ScanAll(Database& db) {
   return out;
 }
 
-void RunSeed(std::uint64_t seed) {
-  SCOPED_TRACE(::testing::Message() << "seed=" << seed);
-  const std::string dir = FreshDir(("ckptfuzz_" + std::to_string(seed)).c_str());
+void RunSeed(Protocol protocol, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << ProtocolName(protocol) << " seed=" << seed);
+  const std::string dir = FreshDir(
+      ("ckptfuzz_" + std::string(ProtocolName(protocol)) + "_" + std::to_string(seed))
+          .c_str());
   // Serial shadow model: transactions are submitted one at a time (Execute waits), so
   // the commit order equals the submission order and the model is exact.
   std::map<std::uint64_t, std::int64_t> model;
@@ -83,7 +86,7 @@ void RunSeed(std::uint64_t seed) {
   std::uint64_t next_id = 1 << 10;
   std::uint64_t checkpoints = 0;
   {
-    Options o = MakeOptions(dir);
+    Options o = MakeOptions(dir, protocol);
     Database db(o);
     Populate(db);
     db.Start();
@@ -137,7 +140,7 @@ void RunSeed(std::uint64_t seed) {
   ASSERT_GE(checkpoints, 1u) << "workload never hit a mid-run checkpoint";
 
   // Crash-and-recover equivalence: reopen and compare against the no-crash state.
-  Options o2 = MakeOptions(dir);
+  Options o2 = MakeOptions(dir, protocol);
   Database db2(o2);
   Populate(db2);  // same pre-population as the original run
   db2.Start();
@@ -161,16 +164,25 @@ void RunSeed(std::uint64_t seed) {
   RemoveDirRecursive(dir);
 }
 
-TEST(CheckpointFuzz, RecoveryMatchesNoCrashRun) {
+class CheckpointFuzz : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(CheckpointFuzz, RecoveryMatchesNoCrashRun) {
   const char* env = std::getenv("DOPPEL_FUZZ_SEED");
   if (env != nullptr) {
-    RunSeed(std::strtoull(env, nullptr, 10));
+    RunSeed(GetParam(), std::strtoull(env, nullptr, 10));
     return;
   }
   for (std::uint64_t seed : {11u, 22u, 33u}) {
-    RunSeed(seed);
+    RunSeed(GetParam(), seed);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Engines, CheckpointFuzz,
+                         ::testing::Values(Protocol::kDoppel, Protocol::kOcc,
+                                           Protocol::kTwoPL),
+                         [](const ::testing::TestParamInfo<Protocol>& info) {
+                           return std::string(ProtocolName(info.param));
+                         });
 
 }  // namespace
 }  // namespace doppel

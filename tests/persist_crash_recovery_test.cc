@@ -134,7 +134,7 @@ TEST_P(KillProcessDurability, RecoversEveryConfirmedFlush) {
       ReadFileBytes(progress_path).c_str(), nullptr, 10);
   ASSERT_EQ(confirmed, static_cast<std::uint64_t>(kFlushRounds * kTxnsPerRound));
 
-  // Reopen. Start() recovers: checkpoint (if the Doppel coordinator took one) plus
+  // Reopen. Start() recovers: checkpoint (if the coordinator took one) plus
   // segment replay, rebuilt ordered index, seeded TID clocks.
   Options o = MakeOptions(dir, GetParam());
   Database db(o);

@@ -29,7 +29,7 @@ using testing::RemoveDirRecursive;
 
 Options ReplicatedOptions(const std::string& dir) {
   Options o;
-  o.protocol = Protocol::kDoppel;  // cuts ride the coordinator's quiesce barriers
+  o.protocol = Protocol::kDoppel;
   o.num_workers = 2;
   o.phase_us = 2000;
   o.store_capacity = 1 << 12;
@@ -128,6 +128,54 @@ TEST(Replica, ViewsNeverObserveStateBetweenCuts) {
   EXPECT_GT(p.applied_cut_tid, 0u);
   EXPECT_EQ(db.wal()->cuts_emitted(), p.shipped_entries - p.applied_txns);
 
+  replica->Stop();
+  replica.reset();
+  RemoveDirRecursive(dir);
+}
+
+// Cuts ride the engine-neutral quiesce barrier: an OCC primary (no split phases) with a
+// replica attached emits them while it runs, so the replica publishes every commit
+// long before the primary stops — cut-aligned, like a Doppel primary's.
+TEST(Replica, OccPrimaryPublishesCutsWhileRunning) {
+  const std::string dir = FreshDir("replica_occ");
+  const Key a = IncrKey(0);
+  const Key b = IncrKey(1);
+  constexpr int kTxns = 300;
+
+  Options o = ReplicatedOptions(dir);
+  o.protocol = Protocol::kOcc;
+  Database db(o);
+  PopulateIncr(db.store(), 2);
+  db.Start();
+  auto replica = std::make_unique<Replica>(dir);
+  replica->AttachPrimary(db.wal());
+  replica->Start();
+
+  for (int i = 0; i < kTxns; ++i) {
+    const TxnResult res = db.Execute([&](Txn& txn) {
+      txn.Add(a, 1);
+      txn.Add(b, 1);
+    });
+    ASSERT_TRUE(res.committed);
+  }
+  // The primary keeps running: only a barrier cut can publish these commits.
+  bool published = false;
+  for (int spin = 0; spin < 10000 && !published; ++spin) {
+    Replica::View v(*replica);
+    published = ReplicaInt(v, a) == kTxns;
+    if (!published) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_TRUE(published) << "no cut covering the commits while the primary ran";
+  EXPECT_GT(replica->progress().published_cuts, 0u);
+  EXPECT_GT(db.wal()->cuts_emitted(), 0u);
+  {
+    Replica::View v(*replica);
+    EXPECT_EQ(ReplicaInt(v, a), ReplicaInt(v, b));
+  }
+
+  db.Stop();
   replica->Stop();
   replica.reset();
   RemoveDirRecursive(dir);

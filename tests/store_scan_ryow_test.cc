@@ -38,7 +38,7 @@ class ScanRyowTest : public ::testing::Test {
   void UseDoppel() {
     // No coordinator: the worker stays in the joined phase, where Doppel scans are OCC
     // scans — this covers the DoppelEngine::Scan entry point.
-    h_.engine = std::make_unique<DoppelEngine>(h_.store, opts_, stop_);
+    h_.engine = std::make_unique<DoppelEngine>(h_.store, opts_);
     h_.MakeWorkers(2);
     static_cast<DoppelEngine&>(*h_.engine).RegisterWorkers(h_.workers);
   }
@@ -85,7 +85,6 @@ class ScanRyowTest : public ::testing::Test {
     EXPECT_EQ(IntAt(h_.store, Key::Table(kTable, 25)), 250);
   }
 
-  std::atomic<bool> stop_{false};
   Options opts_;
   EngineHarness h_;
 };
