@@ -5,7 +5,8 @@
 //   --seconds=F      measurement seconds per point (default CI-sized per bench)
 //   --runs=N         consecutive runs per point, reported as mean [min,max] (default 1)
 //   --keys=N         key-space size where applicable
-//   --phase-ms=N     Doppel phase length (default 20, as in the paper)
+//   --phase-ms=N     Doppel split-phase length and joined-phase ceiling (default 20,
+//                    as in the paper)
 //   --full           paper-scale parameters (1M keys, 20s runs, 3 repeats)
 //   --csv            also emit csv rows
 //   --wal-dir=PATH   enable durability logging into PATH (each point prints a

@@ -1,4 +1,9 @@
-// Shared phase-length sweep for Figures 13 and 14 (§8.7).
+// Shared phase-length sweep for Figures 13 and 14 (§8.7). Each point sets
+// Options::phase_us from --phase-ms: the split-phase length and the joined-phase
+// ceiling. A joined phase runs that long only after a split phase that stashed (these
+// LIKE mixes read the split pages, so theirs usually do); after a clean split phase it
+// shrinks to a tenth (see DoppelEngine::NextJoinedPhaseNs), which the paper's fixed
+// 20 ms cadence did not do.
 #ifndef DOPPEL_BENCH_PHASELEN_COMMON_H_
 #define DOPPEL_BENCH_PHASELEN_COMMON_H_
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "src/common/timing.h"
 #include "src/core/database.h"
@@ -152,9 +153,12 @@ void Coordinator::Run() {
   // Relaxed stop/drain polls throughout this loop: a transition observed one
   // iteration late is harmless, and the barriers order everything that matters.
   // Stage-time counters are stats (racy readers by contract).
+  next_joined_ns_ = phase_ns;
   while (!db_.stop_coord_.load(std::memory_order_relaxed)) {
     const std::uint64_t t0 = NowNanos();
-    SleepJoined(phase_ns);
+    // A joined phase lasts phase_us unless the split phase before it earned the floor
+    // (DoppelEngine::NextJoinedPhaseNs); either way only this one.
+    SleepJoined(std::exchange(next_joined_ns_, phase_ns));
     const std::uint64_t t1 = NowNanos();
     joined_ns_.fetch_add(t1 - t0, std::memory_order_relaxed);
     if (db_.stop_coord_.load(std::memory_order_relaxed)) {
@@ -207,6 +211,9 @@ void Coordinator::Barrier(Phase target) {
   } else {
     if (leaving_split) {
       db_.doppel_->BarrierAfterReconcile();
+      // Sampled with the workers parked, so the count covers exactly the split phase.
+      next_joined_ns_ = db_.doppel_->NextJoinedPhaseNs(
+          db_.opts_.phase_us * 1000, db_.SampleTotalCommits() - split_start_commits_);
     }
     // Workers are parked and every slice is merged: the joined-phase barrier is a free
     // transaction-consistent point. Skipped while draining — Stop is waiting on

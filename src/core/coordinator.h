@@ -1,10 +1,11 @@
 // The coordinator thread (§5.4): owns the quiesce barrier (src/core/quiesce.h) for every
 // engine. Under Doppel it starts phase changes, runs the classifier at barriers, and
 // applies the feedback rules (delay split phases when nothing is contended; hurry the
-// joined phase when the split phase stashes too much). Under every engine it runs the
-// joined-barrier duties — adaptive index narrowing, replication cuts, and checkpoints —
-// at a barrier whenever one is due, so OCC, 2PL and Atomic databases get the same
-// bounded log and consistent cuts as Doppel.
+// joined phase when the split phase stashes too much; keep the joined phase to a floor
+// after a split phase that barely stashed and whose plan carries over). Under every
+// engine it runs the joined-barrier duties — adaptive index narrowing, replication
+// cuts, and checkpoints — at a barrier whenever one is due, so OCC, 2PL and Atomic
+// databases get the same bounded log and consistent cuts as Doppel.
 #ifndef DOPPEL_SRC_CORE_COORDINATOR_H_
 #define DOPPEL_SRC_CORE_COORDINATOR_H_
 
@@ -104,8 +105,12 @@ class Coordinator {
   // consecutive failure up to 2^5 x the base interval.
   std::uint64_t checkpoint_backoff_until_ns_ = 0;
   std::uint32_t checkpoint_consecutive_failures_ = 0;
-  // Total commits when the current split phase began (the hurry heuristic's base).
+  // Total commits when the current split phase began (the base of the split-phase
+  // stash share, for the hurry and the joined-phase length).
   std::uint64_t split_start_commits_ = 0;
+  // Length of the next joined phase: phase_us, or the floor a clean split phase earned
+  // at its joined barrier (coordinator thread only).
+  std::uint64_t next_joined_ns_ = 0;
 
   std::atomic<std::uint64_t> cycles_{0};
   std::atomic<std::uint64_t> joined_ns_{0};

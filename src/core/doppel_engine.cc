@@ -18,10 +18,18 @@ constexpr std::uint64_t kMinScanConflicts = 8;
 constexpr double kScanVoteFraction = 0.5;
 
 // Split-phase feedback (§5.4): hurry the next joined phase once this many stashes
-// accumulated, or once stashes exceed this share of split-phase transactions (they
-// are deferred work that only the next joined phase can retire).
+// accumulated, or once at least kHurryMinStashes stashes exceed this share of
+// split-phase transactions (they are deferred work that only the next joined phase can
+// retire).
 constexpr std::uint64_t kStashHardLimit = std::uint64_t{1} << 16;
+constexpr std::uint64_t kHurryMinStashes = 1000;
 constexpr double kHurryStashFraction = 0.3;
+// Joined-phase feedback: a split phase is clean when its stashes are at most this
+// share of its transactions, and after a clean split phase with a carried plan the
+// joined phase lasts phase_us / kJoinedFloorDivisor — long enough for the classifier's
+// samplers to see a new hot key (§5.5), short enough that the plan runs most of the time.
+constexpr double kCleanStashFraction = 0.01;
+constexpr std::uint64_t kJoinedFloorDivisor = 10;
 
 }  // namespace
 
@@ -478,11 +486,21 @@ bool DoppelEngine::ShouldHurrySplitEnd(FunctionRef<std::uint64_t()> split_commit
   if (stashes >= kStashHardLimit) {
     return true;
   }
-  if (stashes < 1000) {
+  if (stashes < kHurryMinStashes) {
     return false;
   }
   return static_cast<double>(stashes) >
          kHurryStashFraction * static_cast<double>(stashes + split_commits());
+}
+
+std::uint64_t DoppelEngine::NextJoinedPhaseNs(std::uint64_t phase_ns,
+                                              std::uint64_t split_commits) const {
+  // Barrier-time gauge read (workers parked); relaxed suffices.
+  const std::uint64_t stashes = stash_pressure_.load(std::memory_order_relaxed);
+  const bool clean = static_cast<double>(stashes) <=
+                     kCleanStashFraction * static_cast<double>(stashes + split_commits);
+  const bool carries_plan = !manual_.empty() || !retained_.empty();
+  return clean && carries_plan ? phase_ns / kJoinedFloorDivisor : phase_ns;
 }
 
 std::vector<std::pair<Key, OpCode>> DoppelEngine::LastPlanEntries() const {

@@ -66,6 +66,15 @@ class DoppelEngine : public OccEngine {
   // since the split phase began (`split_commits`, sampled only when the stash count
   // makes it matter) => hurry the next joined phase.
   bool ShouldHurrySplitEnd(FunctionRef<std::uint64_t()> split_commits) const;
+  // Joined-phase feedback, at the SPLIT -> JOINED barrier after BarrierAfterReconcile
+  // (before the next BarrierBuildPlan resets the stash gauge): the length of the coming
+  // joined phase. A clean split phase — stashes at most a small share of its
+  // transactions (`split_commits` committed) — whose plan carries into the next cycle
+  // (manual labels or retained records) earns only a floor of `phase_ns`: nothing
+  // waits for joined time, and the split phase is where the contended records scale.
+  // Otherwise the full `phase_ns`, so stashed work retires and the classifier samples.
+  std::uint64_t NextJoinedPhaseNs(std::uint64_t phase_ns,
+                                  std::uint64_t split_commits) const;
 
   // ---- Barrier hooks (the worker's own thread, inside its transition) ----
   // Leaving a split phase: reconcile this worker's slices (Fig. 4). Idempotent.

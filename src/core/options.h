@@ -64,9 +64,13 @@ struct Options {
   Protocol protocol = Protocol::kDoppel;
   // 0 = one worker per available CPU.
   int num_workers = 0;
-  // Phase change cadence (§5.4: "usually starts a phase change every 20 milliseconds").
-  // Under every protocol, also how often the coordinator looks for a due joined-barrier
-  // duty (checkpoint, replication cut, index narrowing).
+  // Phase change cadence (§5.4: "usually starts a phase change every 20 milliseconds"):
+  // the length of a split phase (stash pressure can end it early) and the ceiling of a
+  // joined phase. A split phase that stashed at most 1% of its transactions, with a plan
+  // that carries into the next cycle, shortens the next joined phase to phase_us / 10
+  // (DoppelEngine::NextJoinedPhaseNs). Under every protocol, also how often the
+  // coordinator looks for a due joined-barrier duty (checkpoint, replication cut, index
+  // narrowing).
   std::uint64_t phase_us = 20000;
   bool pin_threads = false;
   // Expected record count (the store does not resize).

@@ -2,6 +2,7 @@
 // stashing, reconciliation exactness, adaptivity, and the Execute API.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -239,6 +240,73 @@ TEST(Doppel, StopDuringSplitPhaseReconcilesEverything) {
   db.Stop();
   EXPECT_EQ(IntAt(db.store(), Key::FromU64(1)),
             static_cast<std::int64_t>(db.CollectStats().committed));
+}
+
+// Adds 1 to key 1 (tag 0); with `read_every` > 0, every read_every-th transaction of a
+// worker reads key 1 instead (tag 1), which stashes while the key is split.
+struct SplitKeySource : TxnSource {
+  explicit SplitKeySource(int read_every) : read_every(read_every) {}
+  TxnRequest Next(Worker&) override {
+    TxnRequest r;
+    if (read_every > 0 && ++n % read_every == 0) {
+      r.proc = +[](Txn& t, const TxnArgs&) { (void)t.GetInt(Key::FromU64(1)); };
+      r.args.tag = 1;
+    } else {
+      r.proc = +[](Txn& t, const TxnArgs&) { t.Add(Key::FromU64(1), 1); };
+    }
+    return r;
+  }
+  int read_every;
+  std::uint64_t n = 0;
+};
+
+// Phase times of a manually split key under SplitKeySource, over a 300 ms window.
+struct PhaseShares {
+  double split_share;        // split_ns / (split_ns + joined_ns)
+  double joined_per_cycle;   // mean joined phase, as a share of phase_us
+};
+
+// Runs SplitKeySource on a database with key 1 split manually and measures its phases.
+// Checks the counter: every committed Add, and nothing else, reached it.
+PhaseShares MeasurePhases(int read_every) {
+  Options o = FastDoppel();
+  o.manual_split_only = true;
+  Database db(o);
+  db.store().LoadInt(Key::FromU64(1), 0);
+  db.MarkSplitManually(Key::FromU64(1), OpCode::kAdd);
+  db.Start([read_every](int) { return std::make_unique<SplitKeySource>(read_every); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // past the first cycle
+  const Coordinator::StageTimes t0 = db.coordinator()->stage_times();
+  const std::uint64_t c0 = db.coordinator()->completed_cycles();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const Coordinator::StageTimes t1 = db.coordinator()->stage_times();
+  const std::uint64_t c1 = db.coordinator()->completed_cycles();
+  db.Stop();
+  const Database::Stats stats = db.CollectStats();
+  EXPECT_EQ(IntAt(db.store(), Key::FromU64(1)),
+            static_cast<std::int64_t>(stats.committed_by_tag[0]));
+  EXPECT_EQ(stats.committed_by_tag[0] + stats.committed_by_tag[1], stats.committed);
+  const double split = static_cast<double>(t1.split_ns - t0.split_ns);
+  const double joined = static_cast<double>(t1.joined_ns - t0.joined_ns);
+  const double cycles = static_cast<double>(std::max<std::uint64_t>(c1 - c0, 1));
+  return {split / (split + joined),
+          joined / cycles / (static_cast<double>(o.phase_us) * 1000.0)};
+}
+
+TEST(Doppel, CleanSplitPhasesShortenJoinedPhase) {
+  // Add-only writers never stash: each joined phase is the phase_us / 10 floor, so
+  // split phases take most of the time (about 0.9 nominally).
+  EXPECT_GE(MeasurePhases(/*read_every=*/0).split_share, 0.75);
+}
+
+TEST(Doppel, StashingSplitPhasesKeepFullJoinedPhase) {
+  // Half the transactions read the split key and stash, so every joined phase keeps
+  // its full phase_us. The stash-pressure hurry usually ends split phases early too
+  // (share about 0.1), but a build too slow to stash 1000 times in one split phase
+  // (TSan) sees equal phases, a share near 0.5; either way far below the floor's 0.9.
+  const PhaseShares p = MeasurePhases(/*read_every=*/2);
+  EXPECT_GE(p.joined_per_cycle, 0.9);
+  EXPECT_LE(p.split_share, 0.6);
 }
 
 TEST(Doppel, LatencyTagsRecorded) {
